@@ -5,7 +5,7 @@ GO ?= go
 # override it to keep a run without clobbering the checked-in record.
 BENCH_OUT ?= BENCH_PR10.json
 
-.PHONY: all build test race verify bench bench-throughput bench-gate multiproc flight fuzz pooldebug clean
+.PHONY: all build test race verify examples bench bench-throughput bench-gate multiproc flight fuzz pooldebug clean
 
 all: build test
 
@@ -25,13 +25,28 @@ race:
 # The pre-merge gate: vet, the full suite, and the internal packages
 # under the race detector — the cluster tests in internal/core and
 # internal/netsim run full stacks one-goroutine-per-member, so this is
-# what proves the pooled hot path is safe under real concurrency.
+# what proves the pooled hot path is safe under real concurrency. The
+# repository benchmark under perfbench/ is a Go module of its own
+# (replace ensemble => ../), so the root `go build ./...` never compiles
+# it; it is vetted and tested here so a core/netsim API change cannot
+# break it unseen.
 verify:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	$(MAKE) examples
 	$(MAKE) bench-gate
 	$(MAKE) multiproc
+
+# The self-checking examples: each panics (non-zero exit) on a broken
+# invariant. udpchat is left out — it needs peers.
+EXAMPLES = bypass failover partition quickstart totalorder verify
+examples:
+	@for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; \
+		$(GO) run ./examples/$$e > /dev/null || exit 1; \
+	done
 
 # The paper-table benchmarks (Tables 1, 2 and Figure 6).
 bench:

@@ -14,7 +14,11 @@
 //   - Group communication: NewGroup builds a simulated process group
 //     running a configurable protocol stack (reliable multicast,
 //     FIFO/total order, flow control, fragmentation, failure detection,
-//     virtually synchronous membership).
+//     virtually synchronous membership) over the deterministic cluster
+//     simulator. Inject application work with Group.Do (it runs on the
+//     member's own goroutine at a virtual time) and advance the group
+//     with Group.Run, or Group.RunConcurrent to run members in parallel
+//     with the same delivery order.
 //   - Configuration: SelectStack computes a stack from required
 //     properties, mirroring Ensemble's heuristic (§3.2).
 //   - Optimization: NewOptimizedEngine derives, composes, and compiles
@@ -97,8 +101,9 @@ type Handlers = core.Handlers
 // Member is one group member bound to a simulated network.
 type Member = core.Member
 
-// Group bundles a simulated process group.
-type Group = core.Group
+// Group bundles a simulated process group: its members, their cluster
+// endpoints, and the cluster that schedules them.
+type Group = core.ClusterGroup
 
 // NetProfile parameterizes the simulated network.
 type NetProfile = netsim.Profile
@@ -118,7 +123,7 @@ var (
 // per-member handlers. Advance the group with Group.Run (virtual time,
 // nanoseconds).
 func NewGroup(n int, profile NetProfile, seed int64, names []string, mode Mode, handlers func(rank int) Handlers) (*Group, error) {
-	return core.NewGroup(n, profile, seed, names, mode, handlers)
+	return core.NewClusterGroup(n, profile, seed, names, mode, handlers)
 }
 
 // NewOptimizedGroup is NewGroup with every member running the
@@ -126,7 +131,7 @@ func NewGroup(n int, profile NetProfile, seed int64, names []string, mode Mode, 
 // the compiled fast path with compressed headers, everything else the
 // full stack, and the bypass is re-derived at every view change.
 func NewOptimizedGroup(n int, profile NetProfile, seed int64, names []string, mode Mode, handlers func(rank int) Handlers) (*Group, error) {
-	return core.NewOptimizedGroup(n, profile, seed, names, mode, handlers)
+	return core.NewOptimizedClusterGroup(n, profile, seed, names, mode, handlers)
 }
 
 // Engine is the machine-optimized configuration: a stack plus compiled

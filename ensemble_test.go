@@ -26,7 +26,7 @@ func TestPublicQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Members[0].Cast([]byte("hi"))
+	g.Do(0, 0, func() { g.Members[0].Cast([]byte("hi")) })
 	g.Run(int64(5e9))
 	if len(delivered) != 3 {
 		t.Fatalf("delivered = %v, want 3 deliveries", delivered)

@@ -47,7 +47,7 @@ func main() {
 		i := i
 		for r, m := range group.Members {
 			r, m := r, m
-			group.Sim.After(int64(i)*200e6, func() {
+			group.Do(r, int64(i)*200e6, func() {
 				if r == 3 && crashed {
 					return
 				}
@@ -58,10 +58,10 @@ func main() {
 
 	// Member 3 crashes two seconds in: it stops sending and drops off
 	// the network.
-	group.Sim.After(int64(2e9), func() {
+	group.Do(3, int64(2e9), func() {
 		fmt.Println("--- member 3 crashes ---")
 		crashed = true
-		group.Net.Detach(group.Members[3].Addr())
+		group.Eps[3].Detach(group.Members[3].Addr())
 	})
 
 	group.Run(int64(40e9))

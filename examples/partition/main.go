@@ -23,7 +23,7 @@ import (
 
 func main() {
 	deliveries := make([]int, 4)
-	g, err := core.NewGroup(4, netsim.Lossy(0.05), 33, layers.StackVsync(), stack.Imp,
+	g, err := core.NewClusterGroup(4, netsim.Lossy(0.05), 33, layers.StackVsync(), stack.Imp,
 		func(rank int) core.Handlers {
 			return core.Handlers{
 				OnCast: func(origin int, payload []byte) { deliveries[rank]++ },
@@ -38,20 +38,20 @@ func main() {
 	g.Run(int64(2e9))
 
 	fmt.Println("--- network partitions: {1,2} | {3,4} ---")
-	g.Net.Partition(
+	g.Cluster.Net().Partition(
 		[]event.Addr{g.Members[0].Addr(), g.Members[1].Addr()},
 		[]event.Addr{g.Members[2].Addr(), g.Members[3].Addr()},
 	)
 	g.Run(int64(30e9))
 
 	// Both sides keep working independently.
-	g.Members[0].Cast([]byte("side A lives"))
-	g.Members[2].Cast([]byte("side B lives"))
+	g.Do(0, 0, func() { g.Members[0].Cast([]byte("side A lives")) })
+	g.Do(2, 0, func() { g.Members[2].Cast([]byte("side B lives")) })
 	g.Run(int64(5e9))
 	fmt.Printf("side A view: %v\nside B view: %v\n", g.Members[0].View(), g.Members[2].View())
 
 	fmt.Println("--- network heals ---")
-	g.Net.SetFilter(nil)
+	g.Cluster.Net().SetFilter(nil)
 	g.Run(int64(60e9))
 
 	for r, m := range g.Members {
@@ -70,8 +70,9 @@ func main() {
 	// Fully ordered traffic in the merged view.
 	before := append([]int(nil), deliveries...)
 	for i := 0; i < 5; i++ {
-		for _, m := range g.Members {
-			m.Cast([]byte(fmt.Sprintf("reunited %d", i)))
+		for r, m := range g.Members {
+			i, m := i, m
+			g.Do(r, 0, func() { m.Cast([]byte(fmt.Sprintf("reunited %d", i))) })
 		}
 	}
 	g.Run(int64(20e9))

@@ -52,7 +52,7 @@ func main() {
 	for round := 0; round < 5; round++ {
 		for rank, m := range group.Members {
 			rank, m, round := rank, m, round
-			group.Sim.After(int64(round)*10e6, func() {
+			group.Do(rank, int64(round)*10e6, func() {
 				m.Cast([]byte(fmt.Sprintf("x=m%d.%d", rank, round)))
 				m.Cast([]byte(fmt.Sprintf("y=m%d.%d", rank, round)))
 				m.Cast([]byte(fmt.Sprintf("z=m%d.%d", rank, round)))

@@ -35,17 +35,18 @@ func TestBatchedFrameStrayEdgeCases(t *testing.T) {
 			name = "optimized"
 		}
 		t.Run(name, func(t *testing.T) {
-			var g *Group
+			var g *ClusterGroup
 			var err error
 			if optimized {
-				g, err = NewOptimizedGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Func, nil)
+				g, err = NewOptimizedClusterGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Func, nil)
 			} else {
-				g, err = NewGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Imp, nil)
+				g, err = NewClusterGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Imp, nil)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			m := g.Members[0]
+			rogue := g.Cluster.NewEndpoint(99)
 			garbage := appendUvarint(nil, 99) // wrong epoch
 			cases := []struct {
 				name   string
@@ -66,15 +67,15 @@ func TestBatchedFrameStrayEdgeCases(t *testing.T) {
 			}
 			for _, tc := range cases {
 				before := m.Stats().StrayPackets
-				g.Net.Send(99, m.addr, tc.frame)
-				g.Run(g.Sim.Now() + int64(1e7))
+				rogue.Send(99, m.addr, tc.frame)
+				g.Run(int64(1e7))
 				if got := m.Stats().StrayPackets - before; got != tc.strays {
 					t.Errorf("%s: %d new strays, want %d", tc.name, got, tc.strays)
 				}
 			}
 			// The member is still live after the garbage.
-			m.Cast([]byte("still alive"))
-			g.Run(g.Sim.Now() + int64(1e8))
+			g.Do(0, 0, func() { m.Cast([]byte("still alive")) })
+			g.Run(int64(1e8))
 			if g.Members[1].Stats().CastsDelivered == 0 {
 				t.Fatal("member stopped delivering after malformed frames")
 			}
@@ -88,23 +89,26 @@ func TestBatchedFrameStrayEdgeCases(t *testing.T) {
 // per sweep. Stack4 keeps the sweep free of stability gossip so the
 // only periodic traffic is the pt2pt retransmission burst.
 func TestPt2ptSweepOneFlushPerPeer(t *testing.T) {
-	g, err := NewGroup(2, netsim.Profile{Latency: 1000}, 5, layers.Stack4(), stack.Imp, nil)
+	g, err := NewClusterGroup(2, netsim.Profile{Latency: 1000}, 5, layers.Stack4(), stack.Imp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := g.Members[0]
 	// Drop everything addressed to member 0: acks never arrive, so its
 	// unacked window stays full and every sweep retransmits all of it.
-	g.Net.SetFilter(func(from, to event.Addr) bool { return to != m.addr })
+	g.Cluster.Net().SetFilter(func(from, to event.Addr) bool { return to != m.addr })
 	const sends = 6
 	for i := 0; i < sends; i++ {
-		if err := m.Send(1, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
+		i := i
+		g.Do(0, 0, func() {
+			if err := m.Send(1, []byte{byte(i)}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 	var before, after transport.BatcherStats
-	g.Sim.After(int64(125e6), func() { before = m.Batcher().Stats() })
-	g.Sim.After(int64(375e6), func() { after = m.Batcher().Stats() })
+	g.Do(0, int64(125e6), func() { before = m.Batcher().Stats() })
+	g.Do(0, int64(375e6), func() { after = m.Batcher().Stats() })
 	g.Run(int64(400e6))
 
 	flushes := after.Flushes - before.Flushes
@@ -131,7 +135,7 @@ func TestPt2ptSweepOneFlushPerPeer(t *testing.T) {
 func TestBatcherImmediateModeEquivalent(t *testing.T) {
 	run := func(immediate, adaptive bool) []string {
 		var log []string
-		g, err := NewGroup(3, netsim.Profile{Latency: 1000}, 17, layers.Stack10(), stack.Imp, func(rank int) Handlers {
+		g, err := NewClusterGroup(3, netsim.Profile{Latency: 1000}, 17, layers.Stack10(), stack.Imp, func(rank int) Handlers {
 			return Handlers{OnCast: func(origin int, payload []byte) {
 				if rank == 1 {
 					log = append(log, fmt.Sprintf("%d:%s", origin, payload))
@@ -150,8 +154,9 @@ func TestBatcherImmediateModeEquivalent(t *testing.T) {
 			}
 		}
 		for i := 0; i < 10; i++ {
-			for _, m := range g.Members {
-				m.Cast([]byte{byte('a' + i)})
+			for r, m := range g.Members {
+				i, m := i, m
+				g.Do(r, 0, func() { m.Cast([]byte{byte('a' + i)}) })
 			}
 		}
 		g.Run(int64(5e9))

@@ -191,7 +191,7 @@ func TestClusterGroupReliabilityUnderLossConcurrent(t *testing.T) {
 // goroutine while it is busy panics with the discipline message instead
 // of corrupting pooled state.
 func TestMemberAffinityAssert(t *testing.T) {
-	g, err := NewGroup(2, netsim.Profile{Latency: 1000}, 1, layers.Stack4(), stack.Imp, nil)
+	g, err := NewClusterGroup(2, netsim.Profile{Latency: 1000}, 1, layers.Stack4(), stack.Imp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

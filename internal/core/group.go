@@ -10,64 +10,13 @@ import (
 	"ensemble/internal/stack"
 )
 
-// Group bundles the members of one simulated process group with the
-// simulator and network they share, for tests and examples that want a
-// whole group in a few lines.
-type Group struct {
-	Sim     *netsim.Sim
-	Net     *netsim.Net
-	Members []*Member
-}
-
-// NewGroup builds n members at addresses 1..n in a fresh view, all
-// running the same named stack under the same mode, and starts their
-// timers. handlers(i) supplies the per-member upcalls (may return zero
-// Handlers).
-func NewGroup(n int, profile netsim.Profile, seed int64, names []string, mode stack.Mode, handlers func(rank int) Handlers) (*Group, error) {
-	return newGroup(n, profile, seed, names, mode, handlers, false)
-}
-
-// NewOptimizedGroup is NewGroup with every member running the
-// machine-generated bypass around its stack (see NewOptimizedMember).
-func NewOptimizedGroup(n int, profile netsim.Profile, seed int64, names []string, mode stack.Mode, handlers func(rank int) Handlers) (*Group, error) {
-	return newGroup(n, profile, seed, names, mode, handlers, true)
-}
-
-func newGroup(n int, profile netsim.Profile, seed int64, names []string, mode stack.Mode, handlers func(rank int) Handlers, optimized bool) (*Group, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("core: group size %d", n)
-	}
-	sim := netsim.NewSim(seed)
-	net := netsim.NewNet(sim, profile)
-	addrs := make([]event.Addr, n)
-	for i := range addrs {
-		addrs[i] = event.Addr(i + 1)
-	}
-	g := &Group{Sim: sim, Net: net}
-	for i := 0; i < n; i++ {
-		v := event.NewView("group", 1, addrs, i)
-		var h Handlers
-		if handlers != nil {
-			h = handlers(i)
-		}
-		m, err := newMember(sim, net, v, names, mode, h, nil, optimized)
-		if err != nil {
-			return nil, err
-		}
-		m.Start()
-		g.Members = append(g.Members, m)
-	}
-	return g, nil
-}
-
-// Run advances the simulation by d nanoseconds of virtual time.
-func (g *Group) Run(d int64) { g.Sim.Run(g.Sim.Now() + d) }
-
-// ClusterGroup is a Group over the N-member concurrent netsim harness:
-// each member is pinned to its own netsim.Endpoint, and RunConcurrent
-// executes the members on one goroutine each between deterministic
-// scheduler barriers. For a given seed, Run and RunConcurrent produce
-// identical delivery orders (see netsim.Cluster).
+// ClusterGroup bundles the members of one simulated process group with
+// the cluster they share, for tests, examples, and benchmarks that want
+// a whole group in a few lines. Each member is pinned to its own
+// netsim.Endpoint; Run executes the members sequentially and
+// RunConcurrent on one goroutine each between deterministic scheduler
+// barriers. For a given seed, Run and RunConcurrent produce identical
+// delivery orders (see netsim.Cluster).
 type ClusterGroup struct {
 	Cluster *netsim.Cluster
 	Eps     []*netsim.Endpoint

@@ -21,17 +21,18 @@ func TestMalformedPacketsCountedStray(t *testing.T) {
 			name = "optimized"
 		}
 		t.Run(name, func(t *testing.T) {
-			var g *Group
+			var g *ClusterGroup
 			var err error
 			if optimized {
-				g, err = NewOptimizedGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Func, nil)
+				g, err = NewOptimizedClusterGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Func, nil)
 			} else {
-				g, err = NewGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Imp, nil)
+				g, err = NewClusterGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Imp, nil)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			m := g.Members[0]
+			rogue := g.Cluster.NewEndpoint(99)
 			epoch := appendUvarint(nil, uint64(m.view.ID.Seq))
 			cases := map[string][]byte{
 				"empty":            {},
@@ -45,14 +46,15 @@ func TestMalformedPacketsCountedStray(t *testing.T) {
 			before := m.Stats().StrayPackets
 			n := int64(0)
 			for cname, data := range cases {
-				m.receive(netsim.Packet{From: 2, To: 1, Data: data})
+				rogue.Send(99, m.addr, data)
+				g.Run(int64(1e6))
 				n++
 				if got := m.Stats().StrayPackets; got != before+n {
 					t.Fatalf("%s: StrayPackets = %d, want %d", cname, got, before+n)
 				}
 			}
 			// The member is still live after the garbage.
-			m.Cast([]byte("still alive"))
+			g.Do(0, 0, func() { m.Cast([]byte("still alive")) })
 			g.Run(int64(1e7))
 			if m.Stats().PacketsOut == 0 {
 				t.Fatal("member stopped sending after malformed input")

@@ -55,19 +55,25 @@ type MemberStats struct {
 }
 
 // Network is what a member needs from its substrate: endpoint
-// registration plus point-to-point and multicast transmission. The
-// simulated network (netsim.Net) and the real UDP transport
-// (netsim.UDPNet) both implement it.
+// registration, point-to-point and multicast transmission, and the
+// drain-barrier hooks. The simulated cluster endpoint (netsim.Endpoint)
+// and the real UDP transport (netsim.UDPNet) both implement it.
+//
+// SetDrainFlush installs the hook the substrate runs at the end of each
+// drain phase (the batcher flush); InDrain reports whether the member is
+// inside one, so calls made outside a drain flush on return instead.
 type Network interface {
 	Attach(addr event.Addr, recv func(netsim.Packet))
 	Detach(addr event.Addr)
 	Send(from, to event.Addr, data []byte)
 	Cast(from event.Addr, data []byte)
+	SetDrainFlush(fn func())
+	InDrain() bool
 }
 
-// Clock schedules the member's housekeeping. Virtual (netsim.Sim) and
-// real-time (netsim.UDPNet) clocks both implement it; callbacks must be
-// serialized with packet delivery.
+// Clock schedules the member's housekeeping. Virtual (netsim.Endpoint)
+// and real-time (netsim.UDPNet) clocks both implement it; callbacks must
+// be serialized with packet delivery.
 type Clock interface {
 	Now() int64
 	After(delay int64, fn func())
@@ -143,15 +149,12 @@ type Member struct {
 	stats MemberStats
 
 	// batch coalesces outgoing wires into per-destination frames. Flush
-	// policy: under a cluster scheduler (drainNet non-nil) frames
-	// accumulate across a whole drain phase and flush at its barrier;
-	// otherwise they flush when the member's outermost entry point
-	// returns. Either way nothing is ever left pending once control
-	// leaves the member, so per-peer FIFO order is exactly send order.
+	// policy: inside a drain phase frames accumulate across the whole
+	// phase and flush at its barrier; otherwise they flush when the
+	// member's outermost entry point returns. Either way nothing is ever
+	// left pending once control leaves the member, so per-peer FIFO
+	// order is exactly send order.
 	batch *transport.Batcher
-	// drainNet is the substrate's barrier capability when it has one
-	// (netsim cluster Endpoints and UDPNet do; plain Net does not).
-	drainNet interface{ InDrain() bool }
 
 	// trk is the member's flight-recorder track (nil when observability
 	// is off); obsRoute is the MACH routing hook EnableObs installed, so
@@ -239,13 +242,7 @@ func newMember(sim Clock, net Network, v0 *event.View, names []string, mode stac
 	// wires join them (transport/xframe.go).
 	m.batch.EnableCrossFrame(transport.EpochPrefixUvarints)
 	m.batch.EnableAdaptiveFlush(sim.Now, transport.DefaultAdaptiveFlush())
-	if dn, ok := net.(interface {
-		SetDrainFlush(func())
-		InDrain() bool
-	}); ok {
-		dn.SetDrainFlush(m.flushWires)
-		m.drainNet = dn
-	}
+	net.SetDrainFlush(m.flushWires)
 	if rb, ok := net.(interface{ SetRebindHook(func(event.Addr)) }); ok {
 		// A UDP peer rebinding means a restarted process with no decode
 		// mirrors: restart our delta chains toward it proactively.
@@ -318,7 +315,7 @@ func (m *Member) enterExclusive(what string) func() {
 		// flush batched wires before handing the member back. Inside a
 		// drain phase the flush is deferred to the phase barrier
 		// (flushWires), where it is one frame per destination per phase.
-		if m.drainNet == nil || !m.drainNet.InDrain() {
+		if !m.net.InDrain() {
 			m.batch.FlushFor(transport.FlushEntryEnd)
 		}
 		m.inside = false

@@ -11,16 +11,17 @@ import (
 )
 
 // crash makes a member disappear abruptly: it stops participating and
-// its endpoint drops off the network, as a process failure would.
-func crash(g *Group, rank int) {
+// its endpoint drops off the network (at the next run's first barrier),
+// as a process failure would. Call it between runs.
+func crash(g *ClusterGroup, rank int) {
 	m := g.Members[rank]
 	m.exited = true
-	g.Net.Detach(m.addr)
+	g.Eps[rank].Detach(m.addr)
 }
 
 func TestViewChangeOnCrash(t *testing.T) {
 	var views [][]*event.View
-	g, err := NewGroup(3, netsim.Profile{Latency: 1000}, 7, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(3, netsim.Profile{Latency: 1000}, 7, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
 		return Handlers{}
 	})
 	if err != nil {
@@ -32,7 +33,7 @@ func TestViewChangeOnCrash(t *testing.T) {
 		m.h.OnView = func(v *event.View) { views[r] = append(views[r], v) }
 	}
 	// Warm up: some traffic in the initial view.
-	g.Members[0].Cast([]byte("warm"))
+	g.Do(0, 0, func() { g.Members[0].Cast([]byte("warm")) })
 	g.Run(int64(2e9))
 
 	crash(g, 2)
@@ -59,7 +60,7 @@ func TestViewChangeOnCrash(t *testing.T) {
 
 func TestTrafficContinuesAfterViewChange(t *testing.T) {
 	var got []string
-	g, err := NewGroup(3, netsim.Profile{Latency: 1000}, 9, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(3, netsim.Profile{Latency: 1000}, 9, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
 		if rank != 0 {
 			return Handlers{}
 		}
@@ -75,7 +76,7 @@ func TestTrafficContinuesAfterViewChange(t *testing.T) {
 		t.Fatalf("member 1 still in view of %d", g.Members[1].View().N())
 	}
 	// Member 1's rank may have changed; send in the new view.
-	g.Members[1].Cast([]byte("after"))
+	g.Do(1, 0, func() { g.Members[1].Cast([]byte("after")) })
 	g.Run(int64(10e9))
 
 	found := false
@@ -91,7 +92,7 @@ func TestTrafficContinuesAfterViewChange(t *testing.T) {
 
 func TestGracefulLeave(t *testing.T) {
 	exited := false
-	g, err := NewGroup(3, netsim.Profile{Latency: 1000}, 11, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(3, netsim.Profile{Latency: 1000}, 11, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
 		if rank != 2 {
 			return Handlers{}
 		}
@@ -101,7 +102,7 @@ func TestGracefulLeave(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Run(int64(1e9))
-	g.Members[2].Leave()
+	g.Do(2, 0, g.Members[2].Leave)
 	g.Run(int64(30e9))
 
 	if !exited {
@@ -118,7 +119,7 @@ func TestCastsDuringFlushAreNotLost(t *testing.T) {
 	// Virtual synchrony: casts submitted while the membership protocol
 	// is flushing must be delivered in the next view, not dropped.
 	deliveredAt0 := map[string]bool{}
-	g, err := NewGroup(3, netsim.Profile{Latency: 1000}, 13, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(3, netsim.Profile{Latency: 1000}, 13, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
 		if rank != 0 {
 			return Handlers{}
 		}
@@ -132,7 +133,7 @@ func TestCastsDuringFlushAreNotLost(t *testing.T) {
 	// casts across the detection window.
 	for i := 0; i < 20; i++ {
 		i := i
-		g.Sim.After(int64(i)*300e6, func() {
+		g.Do(1, int64(i)*300e6, func() {
 			g.Members[1].Cast([]byte(fmt.Sprintf("flush-%d", i)))
 		})
 	}

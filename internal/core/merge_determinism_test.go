@@ -19,7 +19,7 @@ import (
 func partitionHealSchedule(t *testing.T) []string {
 	t.Helper()
 	var log []string
-	g, err := NewGroup(4, netsim.Lossy(0.05), 33, layers.StackVsync(), stack.Imp,
+	g, err := NewClusterGroup(4, netsim.Lossy(0.05), 33, layers.StackVsync(), stack.Imp,
 		func(rank int) Handlers {
 			return Handlers{
 				OnCast: func(origin int, payload []byte) {
@@ -34,22 +34,23 @@ func partitionHealSchedule(t *testing.T) []string {
 		t.Fatal(err)
 	}
 	tap := func(from, to event.Addr) bool {
-		log = append(log, fmt.Sprintf("tx t=%d %d->%d", g.Sim.Now(), from, to))
+		log = append(log, fmt.Sprintf("tx t=%d %d->%d", g.Cluster.Sim().Now(), from, to))
 		return true
 	}
-	g.Net.SetFilter(tap)
+	net := g.Cluster.Net()
+	net.SetFilter(tap)
 	g.Run(int64(2e9))
-	g.Net.Partition(
+	net.Partition(
 		[]event.Addr{g.Members[0].Addr(), g.Members[1].Addr()},
 		[]event.Addr{g.Members[2].Addr(), g.Members[3].Addr()},
 	)
 	g.Run(int64(30e9))
-	g.Members[0].Cast([]byte("side A lives"))
-	g.Members[2].Cast([]byte("side B lives"))
+	g.Do(0, 0, func() { g.Members[0].Cast([]byte("side A lives")) })
+	g.Do(2, 0, func() { g.Members[2].Cast([]byte("side B lives")) })
 	g.Run(int64(5e9))
-	g.Net.SetFilter(tap) // Partition replaced the filter; restore the tap = heal
+	net.SetFilter(tap) // Partition replaced the filter; restore the tap = heal
 	g.Run(int64(60e9))
-	log = append(log, fmt.Sprintf("stats %+v", g.Net.Stats()))
+	log = append(log, fmt.Sprintf("stats %+v", net.Stats()))
 	return log
 }
 

@@ -32,7 +32,7 @@ func viewsAgree(t *testing.T, ms []*Member) event.ViewID {
 // is eventually-convergent: a lost view announcement sends the victim
 // through suspicion, self-healing, and a merge round, which takes a few
 // extra windows.
-func runUntilReunited(t *testing.T, g *Group, want int, chunks int) {
+func runUntilReunited(t *testing.T, g *ClusterGroup, want int, chunks int) {
 	t.Helper()
 	for i := 0; i < chunks; i++ {
 		g.Run(int64(30e9))
@@ -80,7 +80,7 @@ func debugVars(m *Member) map[string]any {
 }
 
 func TestPartitionHealSymmetric(t *testing.T) {
-	g, err := NewGroup(4, netsim.Profile{Latency: 1000}, 51, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(4, netsim.Profile{Latency: 1000}, 51, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
 		return Handlers{}
 	})
 	if err != nil {
@@ -89,7 +89,7 @@ func TestPartitionHealSymmetric(t *testing.T) {
 	g.Run(int64(1e9))
 
 	// Split {addr1, addr2} | {addr3, addr4}.
-	g.Net.Partition(
+	g.Cluster.Net().Partition(
 		[]event.Addr{g.Members[0].addr, g.Members[1].addr},
 		[]event.Addr{g.Members[2].addr, g.Members[3].addr},
 	)
@@ -107,7 +107,7 @@ func TestPartitionHealSymmetric(t *testing.T) {
 	}
 
 	// Heal: the coordinators discover each other and merge.
-	g.Net.SetFilter(nil)
+	g.Cluster.Net().SetFilter(nil)
 	runUntilReunited(t, g, 4, 4)
 
 	id := viewsAgree(t, g.Members)
@@ -122,8 +122,9 @@ func TestPartitionHealSymmetric(t *testing.T) {
 		m.h.OnCast = func(int, []byte) { delivered[r]++ }
 	}
 	for i := 0; i < 10; i++ {
-		for _, m := range g.Members {
-			m.Cast([]byte(fmt.Sprintf("merged-%d", i)))
+		for r, m := range g.Members {
+			i, m := i, m
+			g.Do(r, 0, func() { m.Cast([]byte(fmt.Sprintf("merged-%d", i))) })
 		}
 	}
 	g.Run(int64(20e9))
@@ -137,14 +138,14 @@ func TestPartitionHealSymmetric(t *testing.T) {
 func TestPartitionHealSingleton(t *testing.T) {
 	// One member is isolated, self-heals to a singleton view, then the
 	// network heals and it rejoins.
-	g, err := NewGroup(3, netsim.Profile{Latency: 1000}, 53, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(3, netsim.Profile{Latency: 1000}, 53, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
 		return Handlers{}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Run(int64(1e9))
-	g.Net.Partition(
+	g.Cluster.Net().Partition(
 		[]event.Addr{g.Members[0].addr, g.Members[1].addr},
 		[]event.Addr{g.Members[2].addr},
 	)
@@ -152,38 +153,38 @@ func TestPartitionHealSingleton(t *testing.T) {
 	if g.Members[2].View().N() != 1 {
 		t.Fatalf("isolated member's view %v, want singleton", g.Members[2].View())
 	}
-	g.Net.SetFilter(nil)
+	g.Cluster.Net().SetFilter(nil)
 	runUntilReunited(t, g, 3, 4)
 }
 
 func TestPartitionHealUnderLoss(t *testing.T) {
 	// The merge control traffic itself crosses a lossy network: probes
 	// and grants are retried until the handshake lands.
-	g, err := NewGroup(4, netsim.Lossy(0.15), 57, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(4, netsim.Lossy(0.15), 57, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
 		return Handlers{}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Run(int64(2e9))
-	g.Net.Partition(
+	g.Cluster.Net().Partition(
 		[]event.Addr{g.Members[0].addr, g.Members[1].addr},
 		[]event.Addr{g.Members[2].addr, g.Members[3].addr},
 	)
 	g.Run(int64(40e9))
-	g.Net.SetFilter(nil)
+	g.Cluster.Net().SetFilter(nil)
 	runUntilReunited(t, g, 4, 10)
 }
 
 func TestThreeWayPartitionHeal(t *testing.T) {
-	g, err := NewGroup(3, netsim.Profile{Latency: 1000}, 59, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(3, netsim.Profile{Latency: 1000}, 59, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
 		return Handlers{}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Run(int64(1e9))
-	g.Net.Partition(
+	g.Cluster.Net().Partition(
 		[]event.Addr{g.Members[0].addr},
 		[]event.Addr{g.Members[1].addr},
 		[]event.Addr{g.Members[2].addr},
@@ -194,6 +195,6 @@ func TestThreeWayPartitionHeal(t *testing.T) {
 			t.Fatalf("member %d not a singleton: %v", r, m.View())
 		}
 	}
-	g.Net.SetFilter(nil)
+	g.Cluster.Net().SetFilter(nil)
 	runUntilReunited(t, g, 3, 8)
 }

@@ -17,11 +17,11 @@ import (
 
 // runBothGroups drives identical workloads through a plain and an
 // optimized group and returns the per-member delivery logs of each.
-func runBothGroups(t *testing.T, n int, profile netsim.Profile, names []string, body func(g *Group)) (plain, mach [][]string) {
+func runBothGroups(t *testing.T, n int, profile netsim.Profile, names []string, body func(g *ClusterGroup)) (plain, mach [][]string) {
 	t.Helper()
 	mk := func(optimized bool) [][]string {
 		logs := make([][]string, n)
-		g, err := newGroup(n, profile, 77, names, stack.Func, func(rank int) Handlers {
+		g, err := newClusterGroup(n, profile, 77, names, stack.Func, func(rank int) Handlers {
 			return Handlers{
 				OnCast: func(origin int, payload []byte) {
 					logs[rank] = append(logs[rank], fmt.Sprintf("c%d:%s", origin, payload))
@@ -30,7 +30,7 @@ func runBothGroups(t *testing.T, n int, profile netsim.Profile, names []string, 
 					logs[rank] = append(logs[rank], fmt.Sprintf("s%d:%s", origin, payload))
 				},
 			}
-		}, optimized)
+		}, nil, optimized)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,12 +52,12 @@ func TestOptimizedGroupMatchesPlainGroup(t *testing.T) {
 		{"stack4/perfect", layers.Stack4(), netsim.Profile{Latency: 1000}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			body := func(g *Group) {
+			body := func(g *ClusterGroup) {
 				for i := 0; i < 40; i++ {
 					i := i
 					for r, m := range g.Members {
 						r, m := r, m
-						g.Sim.After(int64(i)*3e6, func() {
+						g.Do(r, int64(i)*3e6, func() {
 							m.Cast([]byte(fmt.Sprintf("m%d-%d", r, i)))
 							if i%5 == 0 {
 								_ = m.Send((r+1)%len(g.Members), []byte(fmt.Sprintf("p%d-%d", r, i)))
@@ -96,12 +96,12 @@ func TestOptimizedGroupMatchesPlainGroup(t *testing.T) {
 }
 
 func TestOptimizedGroupUsesBypass(t *testing.T) {
-	g, err := NewOptimizedGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Func, nil)
+	g, err := NewOptimizedClusterGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Func, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		g.Members[0].Cast([]byte("x"))
+		g.Do(0, 0, func() { g.Members[0].Cast([]byte("x")) })
 	}
 	g.Run(int64(5e9))
 	st0 := g.Members[0].Engine().Stats()
@@ -119,7 +119,7 @@ func TestOptimizedGroupSurvivesViewChange(t *testing.T) {
 	// optimized vsync group and check the survivors keep delivering
 	// through their (rebuilt) engines.
 	var delivered [3]int
-	g, err := NewOptimizedGroup(3, netsim.Profile{Latency: 1000}, 21, layers.StackVsync(), stack.Func,
+	g, err := NewOptimizedClusterGroup(3, netsim.Profile{Latency: 1000}, 21, layers.StackVsync(), stack.Func,
 		func(rank int) Handlers {
 			return Handlers{OnCast: func(origin int, payload []byte) { delivered[rank]++ }}
 		})
@@ -127,11 +127,10 @@ func TestOptimizedGroupSurvivesViewChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	engBefore := g.Members[0].Engine()
-	g.Members[0].Cast([]byte("before"))
+	g.Do(0, 0, func() { g.Members[0].Cast([]byte("before")) })
 	g.Run(int64(1e9))
 	// Crash member 2 (partition-style: detach, stop participating).
-	g.Members[2].exited = true
-	g.Net.Detach(g.Members[2].addr)
+	crash(g, 2)
 	g.Run(int64(30e9))
 	if g.Members[0].View().N() != 2 {
 		t.Fatalf("view change did not happen: %v", g.Members[0].View())
@@ -141,8 +140,9 @@ func TestOptimizedGroupSurvivesViewChange(t *testing.T) {
 	// ordering is not a common case); the sequencer's casts must ride
 	// the rebuilt bypass.
 	for i := 0; i < 50; i++ {
-		g.Members[0].Cast([]byte(fmt.Sprintf("after%d", i)))
-		g.Members[1].Cast([]byte(fmt.Sprintf("noseq%d", i)))
+		i := i
+		g.Do(0, 0, func() { g.Members[0].Cast([]byte(fmt.Sprintf("after%d", i))) })
+		g.Do(1, 0, func() { g.Members[1].Cast([]byte(fmt.Sprintf("noseq%d", i))) })
 	}
 	g.Run(int64(20e9))
 	if delivered[1]-pre1 != 100 {

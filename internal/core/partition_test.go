@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"ensemble/internal/layers"
@@ -21,34 +22,50 @@ import (
 // sequence space, silently stalling total-order delivery. The epoch tag
 // therefore carries the coordinator address as well.
 func TestPartitionedMemberCannotPoisonSurvivors(t *testing.T) {
-	deliveries := make([]int, 4)
-	g, err := NewGroup(4, netsim.Lossy(0.05), 11, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
-		return Handlers{OnCast: func(origin int, payload []byte) { deliveries[rank]++ }}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	partitioned := false
-	for i := 0; i < 30; i++ {
-		i := i
-		for r, m := range g.Members {
-			r, m := r, m
-			g.Sim.After(int64(i)*200e6, func() {
-				if r == 3 && partitioned {
-					return
-				}
-				m.Cast([]byte(fmt.Sprintf("tick %d from %d", i, r)))
-			})
+	// run drives the scenario with the given scheduler and returns the
+	// group and every member's delivery log.
+	run := func(advance func(g *ClusterGroup, d int64)) (*ClusterGroup, [][]string) {
+		logs := make([][]string, 4)
+		g, err := NewClusterGroup(4, netsim.Lossy(0.05), 11, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
+			return Handlers{OnCast: func(origin int, payload []byte) {
+				logs[rank] = append(logs[rank], string(payload))
+			}}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		partitioned := false
+		for i := 0; i < 30; i++ {
+			i := i
+			for r, m := range g.Members {
+				r, m := r, m
+				g.Do(r, int64(i)*200e6, func() {
+					if r == 3 && partitioned {
+						return
+					}
+					m.Cast([]byte(fmt.Sprintf("tick %d from %d", i, r)))
+				})
+			}
+		}
+		// Member 3 loses its receive path but — crucially — keeps running
+		// and transmitting, like a real partitioned process.
+		g.Do(3, int64(2e9), func() {
+			partitioned = true
+			g.Eps[3].Detach(g.Members[3].Addr())
+		})
+		advance(g, int64(40e9))
+		return g, logs
 	}
-	// Member 3 loses its receive path but — crucially — keeps running
-	// and transmitting, like a real partitioned process.
-	g.Sim.After(int64(2e9), func() {
-		partitioned = true
-		g.Net.Detach(g.Members[3].Addr())
-	})
-	g.Run(int64(40e9))
+	g, logs := run(func(g *ClusterGroup, d int64) { g.Run(d) })
+	_, concLogs := run(func(g *ClusterGroup, d int64) { g.RunConcurrent(d, 4) })
+	if fmt.Sprint(logs) != fmt.Sprint(concLogs) {
+		t.Fatalf("Run and RunConcurrent delivery logs diverge:\n  run:  %v\n  conc: %v", logs, concLogs)
+	}
 
+	deliveries := make([]int, 4)
+	for r := range logs {
+		deliveries[r] = len(logs[r])
+	}
 	if deliveries[0] == 0 {
 		t.Fatal("no deliveries at all")
 	}
@@ -74,48 +91,60 @@ func TestPartitionedMemberCannotPoisonSurvivors(t *testing.T) {
 // new view's sequencer. (Casts the dead sequencer never ordered are
 // dropped across the change — the documented simplification.)
 func TestCoordinatorCrash(t *testing.T) {
-	deliveries := make([]int, 3)
-	g, err := NewGroup(3, netsim.Profile{Latency: 1000}, 31, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
-		return Handlers{OnCast: func(origin int, payload []byte) { deliveries[rank]++ }}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Members[0].Cast([]byte("pre"))
-	g.Run(int64(1e9))
-
-	// Rank 0 dies (stops participating entirely).
-	g.Members[0].exited = true
-	g.Net.Detach(g.Members[0].addr)
-	g.Run(int64(30e9))
-
-	for r := 1; r < 3; r++ {
-		v := g.Members[r].View()
-		if v.N() != 2 {
-			t.Fatalf("member %d view %v, want 2 members", r, v)
+	// run drives the scenario with the given scheduler and returns every
+	// member's delivery log.
+	run := func(advance func(g *ClusterGroup, d int64)) [][]string {
+		logs := make([][]string, 3)
+		g, err := NewClusterGroup(3, netsim.Profile{Latency: 1000}, 31, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
+			return Handlers{OnCast: func(origin int, payload []byte) {
+				logs[rank] = append(logs[rank], fmt.Sprintf("%d:%x", origin, payload))
+			}}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		g.Do(0, 0, func() { g.Members[0].Cast([]byte("pre")) })
+		advance(g, int64(1e9))
+
+		// Rank 0 dies (stops participating entirely).
+		crash(g, 0)
+		advance(g, int64(30e9))
+
+		for r := 1; r < 3; r++ {
+			v := g.Members[r].View()
+			if v.N() != 2 {
+				t.Fatalf("member %d view %v, want 2 members", r, v)
+			}
+		}
+		if g.Members[1].View().ID != g.Members[2].View().ID {
+			t.Fatalf("survivors in different views: %v vs %v",
+				g.Members[1].View(), g.Members[2].View())
+		}
+		// Ordering restarts under the new sequencer (old rank 1 → new rank 0).
+		pre1, pre2 := len(logs[1]), len(logs[2])
+		for i := 0; i < 20; i++ {
+			i := i
+			g.Do(1, 0, func() { g.Members[1].Cast([]byte{byte(i)}) })
+			g.Do(2, 0, func() { g.Members[2].Cast([]byte{byte(i)}) })
+		}
+		advance(g, int64(20e9))
+		if len(logs[1])-pre1 != 40 || len(logs[2])-pre2 != 40 {
+			t.Fatalf("post-crash deliveries: m1 +%d m2 +%d, want +40 each",
+				len(logs[1])-pre1, len(logs[2])-pre2)
+		}
+		return logs
 	}
-	if g.Members[1].View().ID != g.Members[2].View().ID {
-		t.Fatalf("survivors in different views: %v vs %v",
-			g.Members[1].View(), g.Members[2].View())
-	}
-	// Ordering restarts under the new sequencer (old rank 1 → new rank 0).
-	pre1, pre2 := deliveries[1], deliveries[2]
-	for i := 0; i < 20; i++ {
-		g.Members[1].Cast([]byte{byte(i)})
-		g.Members[2].Cast([]byte{byte(i)})
-	}
-	g.Run(int64(20e9))
-	if deliveries[1]-pre1 != 40 || deliveries[2]-pre2 != 40 {
-		t.Fatalf("post-crash deliveries: m1 +%d m2 +%d, want +40 each",
-			deliveries[1]-pre1, deliveries[2]-pre2)
+	logs := run(func(g *ClusterGroup, d int64) { g.Run(d) })
+	concLogs := run(func(g *ClusterGroup, d int64) { g.RunConcurrent(d, 4) })
+	if fmt.Sprint(logs) != fmt.Sprint(concLogs) {
+		t.Fatalf("Run and RunConcurrent delivery logs diverge:\n  run:  %v\n  conc: %v", logs, concLogs)
 	}
 }
 
 // TestCascadingCrashes: members fail one after another until only one
 // remains; every surviving configuration must stay live.
 func TestCascadingCrashes(t *testing.T) {
-	g, err := NewGroup(4, netsim.Profile{Latency: 1000}, 37, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(4, netsim.Profile{Latency: 1000}, 37, layers.StackVsync(), stack.Imp, func(rank int) Handlers {
 		return Handlers{}
 	})
 	if err != nil {
@@ -123,8 +152,7 @@ func TestCascadingCrashes(t *testing.T) {
 	}
 	g.Run(int64(1e9))
 	for victim := 3; victim >= 1; victim-- {
-		g.Members[victim].exited = true
-		g.Net.Detach(g.Members[victim].addr)
+		crash(g, victim)
 		g.Run(int64(30e9))
 		want := victim
 		if got := g.Members[0].View().N(); got != want {
@@ -135,7 +163,7 @@ func TestCascadingCrashes(t *testing.T) {
 	// The last member stands alone and can still "multicast" to itself.
 	delivered := 0
 	g.Members[0].h.OnCast = func(int, []byte) { delivered++ }
-	g.Members[0].Cast([]byte("alone"))
+	g.Do(0, 0, func() { g.Members[0].Cast([]byte("alone")) })
 	g.Run(int64(5e9))
 	if delivered != 1 {
 		t.Fatalf("singleton self-delivery = %d, want 1", delivered)
@@ -147,7 +175,7 @@ func TestCascadingCrashes(t *testing.T) {
 // traffic.
 func TestMemberSurvivesGarbagePackets(t *testing.T) {
 	delivered := 0
-	g, err := NewGroup(2, netsim.Profile{Latency: 1000}, 41, layers.Stack10(), stack.Imp, func(rank int) Handlers {
+	g, err := NewClusterGroup(2, netsim.Profile{Latency: 1000}, 41, layers.Stack10(), stack.Imp, func(rank int) Handlers {
 		if rank != 1 {
 			return Handlers{}
 		}
@@ -156,13 +184,14 @@ func TestMemberSurvivesGarbagePackets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := g.Sim.Rand()
+	rogue := g.Cluster.NewEndpoint(99)
+	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 3000; i++ {
 		garbage := make([]byte, rng.Intn(64))
 		rng.Read(garbage)
-		g.Net.Send(99, g.Members[1].addr, garbage)
+		rogue.Send(99, g.Members[1].addr, garbage)
 	}
-	g.Members[0].Cast([]byte("clean"))
+	g.Do(0, 0, func() { g.Members[0].Cast([]byte("clean")) })
 	g.Run(int64(5e9))
 	if delivered != 1 {
 		t.Fatalf("delivered %d, want 1", delivered)

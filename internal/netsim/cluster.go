@@ -1,8 +1,8 @@
 package netsim
 
-// The N-member concurrent harness. A Cluster wraps one Sim and one Net
-// and grows the single-goroutine lockstep simulation into per-member
-// execution with a deterministic sharded scheduler:
+// The N-member simulated substrate. A Cluster owns the global clock
+// (Sim), the shared link model (Net), and the endpoint registry, and
+// runs members with a deterministic sharded scheduler:
 //
 //   - Endpoints are partitioned into shards (contiguous blocks, so
 //     hierarchical groups land shard-local); each shard owns an event
@@ -79,17 +79,14 @@ type Cluster struct {
 // NewCluster builds a cluster simulation with a seeded RNG and the
 // given link profile.
 func NewCluster(seed int64, profile Profile) *Cluster {
-	c := &Cluster{sim: NewSim(seed), seed: seed, byAddr: map[event.Addr]int{}, nshards: 1}
-	c.net = NewNet(c.sim, profile)
-	c.net.route = c.route
-	return c
+	return &Cluster{sim: &Sim{}, net: &Net{profile: profile}, seed: seed, byAddr: map[event.Addr]int{}, nshards: 1}
 }
 
-// Sim exposes the underlying simulator (for Now, global scheduling from
-// the driving goroutine between runs, and seeding checks).
+// Sim exposes the cluster's global clock (for Now, and global
+// scheduling from the driving goroutine between runs).
 func (c *Cluster) Sim() *Sim { return c.sim }
 
-// Net exposes the underlying network (for Stats, Partition, SetFilter).
+// Net exposes the shared link model (for Stats, Partition, SetFilter).
 func (c *Cluster) Net() *Net { return c.net }
 
 // SetShards sets how many scheduler shards the endpoints are split
@@ -270,12 +267,16 @@ type Endpoint struct {
 	addr  event.Addr
 	shard *shard
 
-	recv     func(Packet)
-	mailbox  []mail
-	now      int64
-	effects  []effect
-	spare    [][]byte
+	recv    func(Packet)
+	mailbox []mail
+	now     int64
+	effects []effect
+	spare   [][]byte
+	// detached is set when the endpoint's detach commits: from then on
+	// every arrival drops. listed is set by Attach and cleared at the
+	// barrier after the detach: casts fan out to listed endpoints only.
 	detached bool
+	listed   bool
 
 	// flush, when set, runs at the end of every drain — core.Member
 	// installs its batcher flush here so wires coalesced across a drain
@@ -365,10 +366,11 @@ func (ep *Endpoint) Attach(addr event.Addr, recv func(Packet)) {
 	if addr != ep.addr {
 		panic(fmt.Sprintf("netsim: cluster endpoint is member %d, not %d", ep.addr, addr))
 	}
+	if ep.recv != nil {
+		panic(fmt.Sprintf("netsim: duplicate endpoint %d", addr))
+	}
 	ep.recv = recv
-	ep.c.net.Attach(addr, func(Packet) {
-		panic("netsim: cluster-managed endpoint delivered outside the scheduler")
-	})
+	ep.listed = true
 }
 
 // Detach implements the member network contract; the detach takes
@@ -479,21 +481,6 @@ func (c *Cluster) Enqueue(idx int, delay int64, fn func()) {
 	ep.shard.push(ev)
 }
 
-// route is installed as the Net's delivery hook, reached only by
-// direct Net.Send/Cast calls from the driving goroutine between runs
-// (during runs, commit delivers through per-shard sinks instead):
-// schedule the arrival on the destination's shard heap.
-func (c *Cluster) route(p Packet, delay int64) {
-	c.freeze()
-	t := c.sim.now + delay
-	idx, ok := c.byAddr[p.To]
-	if !ok {
-		c.net.stats.dropped.Inc()
-		return
-	}
-	c.eps[idx].shard.push(shardEvent{t: t, idx: int32(idx), kind: sevArrive, pkt: p})
-}
-
 // nextEventTime reports the earliest pending time across every shard
 // heap and the global instrumentation heap.
 func (c *Cluster) nextEventTime() (int64, bool) {
@@ -554,7 +541,7 @@ func (c *Cluster) run(deadline int64, workers int) int {
 		}
 		for _, s := range shards {
 			for _, ep := range s.detachQ {
-				c.net.Detach(ep.addr)
+				ep.listed = false
 			}
 			s.detachQ = s.detachQ[:0]
 		}

@@ -22,17 +22,24 @@ func buildFrame(subs ...[]byte) []byte {
 	return buf
 }
 
+// TestNetDeliversFrameSubPackets: the link model fans a batched frame
+// out into one recv call per sub-packet and passes a raw packet through
+// whole, while the Stats invariant stays frame-level.
 func TestNetDeliversFrameSubPackets(t *testing.T) {
-	s := NewSim(1)
-	n := NewNet(s, Profile{Latency: 1000})
 	var got [][]byte
-	n.Attach(1, func(Packet) {})
-	n.Attach(2, func(p Packet) { got = append(got, append([]byte(nil), p.Data...)) })
+	c := attachCluster(1, Profile{Latency: 1000}, func(a event.Addr) func(Packet) {
+		if a != 2 {
+			return nil
+		}
+		return func(p Packet) { got = append(got, append([]byte(nil), p.Data...)) }
+	}, 1, 2)
 
 	frame := buildFrame([]byte("alpha"), []byte("b"), []byte("ccc"))
-	n.Send(1, 2, frame)
-	n.Send(1, 2, []byte{0x01, 0x02}) // raw packet, passed through whole
-	s.Run(int64(1e9))
+	c.Enqueue(0, 0, func() {
+		c.eps[0].Send(1, 2, frame)
+		c.eps[0].Send(1, 2, []byte{0x01, 0x02}) // raw packet, passed through whole
+	})
+	c.Run(int64(1e9))
 
 	if len(got) != 4 {
 		t.Fatalf("receiver saw %d packets, want 4 (3 subs + 1 raw)", len(got))
@@ -40,7 +47,10 @@ func TestNetDeliversFrameSubPackets(t *testing.T) {
 	if string(got[0]) != "alpha" || string(got[1]) != "b" || string(got[2]) != "ccc" {
 		t.Fatalf("sub-packets mangled: %q", got[:3])
 	}
-	st := n.Stats()
+	if string(got[3]) != "\x01\x02" {
+		t.Fatalf("raw packet mangled: % x", got[3])
+	}
+	st := c.Net().Stats()
 	if st.Sent != 2 || st.Delivered != 2 {
 		t.Fatalf("invariant must stay frame-level: %+v", st)
 	}
@@ -156,6 +166,34 @@ func deltaFrame(t *testing.T, wires ...[]byte) []byte {
 	return sink.frames[0]
 }
 
+// TestNetDeltaGarbageKeepsInvariant: a corrupt delta frame (delta sub
+// first, with no base) surfaces its tail as one garbage sub — delivered,
+// counted, no panic — so the frame-level invariant survives malformed
+// input exactly as it does for classic frames.
+func TestNetDeltaGarbageKeepsInvariant(t *testing.T) {
+	frame := []byte{transport.DeltaFrameMagic, 0x01, 0x00, 0x02, 0xFF}
+	var got [][]byte
+	c := attachCluster(1, Profile{Latency: 1000}, func(a event.Addr) func(Packet) {
+		if a != 2 {
+			return nil
+		}
+		return func(p Packet) { got = append(got, p.Data) }
+	}, 1, 2)
+	c.Enqueue(0, 0, func() { c.eps[0].Send(1, 2, frame) })
+	c.Run(int64(1e9))
+
+	if len(got) != 1 || string(got[0]) != string(frame[1:]) {
+		t.Fatalf("garbage tail not surfaced whole: %v", got)
+	}
+	st := c.Net().Stats()
+	if st.Sent != 1 || st.Delivered != 1 || st.Frames != 1 || st.SubPackets != 1 {
+		t.Fatalf("garbage accounting: %+v", st)
+	}
+	if st.Sent+st.Duplicated != st.Delivered+st.Dropped {
+		t.Fatalf("stats invariant broken: %+v", st)
+	}
+}
+
 // TestNetDeliversDeltaFrameSubPackets: a delta-compressed frame fans out
 // into the original wires, byte for byte, while the Stats invariant stays
 // at the transmission level and BytesOnWire counts the compressed frame.
@@ -175,13 +213,15 @@ func TestNetDeliversDeltaFrameSubPackets(t *testing.T) {
 		t.Fatalf("delta frame (%dB) not smaller than its wires (%dB)", len(frame), sum)
 	}
 
-	s := NewSim(1)
-	n := NewNet(s, Profile{Latency: 1000})
 	var got [][]byte
-	n.Attach(1, func(Packet) {})
-	n.Attach(2, func(p Packet) { got = append(got, p.Data) }) // retained, no copy: stable walker
-	n.Send(1, 2, frame)
-	s.Run(int64(1e9))
+	c := attachCluster(1, Profile{Latency: 1000}, func(a event.Addr) func(Packet) {
+		if a != 2 {
+			return nil
+		}
+		return func(p Packet) { got = append(got, p.Data) } // retained, no copy: stable walker
+	}, 1, 2)
+	c.Enqueue(0, 0, func() { c.eps[0].Send(1, 2, frame) })
+	c.Run(int64(1e9))
 
 	if len(got) != len(wires) {
 		t.Fatalf("receiver saw %d subs, want %d", len(got), len(wires))
@@ -191,38 +231,12 @@ func TestNetDeliversDeltaFrameSubPackets(t *testing.T) {
 			t.Fatalf("sub %d: got % x, want % x", i, got[i], w)
 		}
 	}
-	st := n.Stats()
+	st := c.Net().Stats()
 	if st.Sent != 1 || st.Delivered != 1 || st.Frames != 1 || st.SubPackets != int64(len(wires)) {
 		t.Fatalf("frame accounting: %+v", st)
 	}
 	if st.BytesOnWire != int64(len(frame)) {
 		t.Fatalf("BytesOnWire = %d, want frame size %d", st.BytesOnWire, len(frame))
-	}
-	if st.Sent+st.Duplicated != st.Delivered+st.Dropped {
-		t.Fatalf("stats invariant broken: %+v", st)
-	}
-}
-
-// TestNetDeltaGarbageKeepsInvariant: a corrupt delta frame (delta sub
-// first, with no base) surfaces its tail as one garbage sub — delivered,
-// counted, no panic — so the frame-level invariant survives malformed
-// input exactly as it does for classic frames.
-func TestNetDeltaGarbageKeepsInvariant(t *testing.T) {
-	frame := []byte{transport.DeltaFrameMagic, 0x01, 0x00, 0x02, 0xFF}
-	s := NewSim(1)
-	n := NewNet(s, Profile{Latency: 1000})
-	var got [][]byte
-	n.Attach(1, func(Packet) {})
-	n.Attach(2, func(p Packet) { got = append(got, p.Data) })
-	n.Send(1, 2, frame)
-	s.Run(int64(1e9))
-
-	if len(got) != 1 || string(got[0]) != string(frame[1:]) {
-		t.Fatalf("garbage tail not surfaced whole: %v", got)
-	}
-	st := n.Stats()
-	if st.Sent != 1 || st.Delivered != 1 || st.Frames != 1 || st.SubPackets != 1 {
-		t.Fatalf("garbage accounting: %+v", st)
 	}
 	if st.Sent+st.Duplicated != st.Delivered+st.Dropped {
 		t.Fatalf("stats invariant broken: %+v", st)
@@ -273,15 +287,11 @@ func TestClusterArriveUnpacksDeltaFrames(t *testing.T) {
 // wire once, however many receivers fan out (BytesSent keeps the
 // per-receiver figure).
 func TestNetCastBytesOnWireCountsOnce(t *testing.T) {
-	s := NewSim(1)
-	n := NewNet(s, Profile{})
-	for i := 1; i <= 4; i++ {
-		n.Attach(event.Addr(i), func(Packet) {})
-	}
+	c := attachCluster(1, Profile{}, nil, 1, 2, 3, 4)
 	data := []byte("hello world")
-	n.Cast(1, data)
-	s.Run(int64(1e9))
-	st := n.Stats()
+	c.Enqueue(0, 0, func() { c.eps[0].Cast(1, data) })
+	c.Run(int64(1e9))
+	st := c.Net().Stats()
 	if st.BytesOnWire != int64(len(data)) {
 		t.Fatalf("BytesOnWire = %d, want %d (counted once)", st.BytesOnWire, len(data))
 	}

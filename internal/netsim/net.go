@@ -1,12 +1,10 @@
 package netsim
 
 import (
-	"fmt"
 	"math/rand"
 
 	"ensemble/internal/event"
 	"ensemble/internal/obs"
-	"ensemble/internal/transport"
 )
 
 // Packet is what the network delivers to an endpoint.
@@ -87,33 +85,18 @@ type netCounters struct {
 	genMisses, staleGenFrames, resyncs   obs.Counter
 }
 
-// Net is a simulated network attached to a Sim. It implements both
-// point-to-point send and group multicast (multicast fans out to every
-// attached endpoint except the sender, as Ethernet multicast would).
+// Net is the link model a Cluster's shards share: the behaviour
+// profile, the reachability filter, the loss/duplication/delay draws of
+// every transmission, and the traffic counters. Multicast fans out to
+// every attached cluster endpoint except the sender, as Ethernet
+// multicast would.
 type Net struct {
-	sim     *Sim
 	profile Profile
-	eps     map[event.Addr]func(Packet)
-	order   []event.Addr
 	stats   netCounters
 
 	// filter, when set, decides reachability per (from, to) pair —
 	// returning false drops the packet. Used to create partitions.
 	filter func(from, to event.Addr) bool
-
-	// route, when set, takes over delivery scheduling: the Cluster
-	// installs it to route packets through per-member mailboxes instead
-	// of direct callbacks (see cluster.go). delay is relative to the
-	// transmission time.
-	route func(p Packet, delay int64)
-
-	// walker unpacks batched frames (classic and delta) at delivery.
-	// Stable mode: surfaced subs live as long as the frame buffer — a
-	// per-transmit copy here — so receivers may retain decoded payload
-	// slices, as the member Handlers contract allows. Deliveries run on
-	// one goroutine (the simulator's, or the cluster scheduler's), so
-	// one walker serves both delivery paths.
-	walker *transport.FrameWalker
 }
 
 // SetFilter installs (or clears, with nil) a reachability filter; use it
@@ -140,16 +123,6 @@ func (n *Net) Partition(islands ...[]event.Addr) {
 		ti, tok := island[to]
 		return fok && tok && fi == ti
 	})
-}
-
-// NewNet attaches a network with the given behaviour profile to sim.
-func NewNet(sim *Sim, profile Profile) *Net {
-	return &Net{
-		sim:     sim,
-		profile: profile,
-		eps:     map[event.Addr]func(Packet){},
-		walker:  transport.NewFrameWalker(transport.EpochPrefixUvarints, true),
-	}
 }
 
 // Stats returns a snapshot of the traffic counters (alias of Snapshot,
@@ -200,50 +173,12 @@ func (n *Net) RegisterMetrics(reg *obs.Registry) {
 	sc.Adopt("resyncs", &n.stats.resyncs)
 }
 
-// Attach registers an endpoint. The recv callback runs on the simulator
-// goroutine at the packet's delivery time.
-func (n *Net) Attach(addr event.Addr, recv func(Packet)) {
-	if _, dup := n.eps[addr]; dup {
-		panic(fmt.Sprintf("netsim: duplicate endpoint %d", addr))
-	}
-	n.eps[addr] = recv
-	n.order = append(n.order, addr)
-}
-
-// Detach removes an endpoint; in-flight packets to it are dropped at
-// delivery time.
-func (n *Net) Detach(addr event.Addr) {
-	delete(n.eps, addr)
-	for i, a := range n.order {
-		if a == addr {
-			n.order = append(n.order[:i], n.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// Send transmits a point-to-point packet. The data is copied: the caller
-// may reuse its buffer.
-func (n *Net) Send(from, to event.Addr, data []byte) {
-	n.sendVia(n.sim.rng, nil, from, to, data)
-}
-
-// Cast transmits a multicast packet to every attached endpoint except
-// the sender. Loss is independent per receiver. Every receiver gets its
-// own copy of data: transports decode in place, so a shared backing
-// slice would let one member's decode corrupt another's packet.
-func (n *Net) Cast(from event.Addr, data []byte) {
-	n.castVia(n.sim.rng, nil, from, data)
-}
-
-// sendVia is Send parameterized by the random source and delivery sink:
-// the sharded cluster commit calls it with the emitting shard's RNG so
-// shards can commit in parallel without racing on one generator, and
-// with the shard as sink so deliveries land on shard heaps instead of
-// the global one. sink == nil delivers through the plain simulator
-// path. The draw order (filter, loss, delay, dup, dup delay — per
-// receiver, in attach order) is fixed: it is part of the deterministic
-// schedule.
+// sendVia transmits a point-to-point packet from the committing shard:
+// draws come from the shard's RNG (so shards can commit in parallel
+// without racing on one generator) and deliveries land on shard heaps.
+// The data is copied: the caller may reuse its buffer. The draw order
+// (filter, loss, delay, dup, dup delay — per receiver, in endpoint
+// order) is fixed: it is part of the deterministic schedule.
 func (n *Net) sendVia(rng *rand.Rand, sink *shard, from, to event.Addr, data []byte) {
 	n.stats.sent.Inc()
 	n.stats.bytesSent.Add(int64(len(data)))
@@ -251,16 +186,20 @@ func (n *Net) sendVia(rng *rand.Rand, sink *shard, from, to event.Addr, data []b
 	n.transmitVia(rng, sink, Packet{From: from, To: to, Data: append([]byte(nil), data...)})
 }
 
-// castVia is Cast parameterized like sendVia.
+// castVia transmits a multicast packet to every attached endpoint except
+// the sender, in endpoint creation order. Loss is independent per
+// receiver. Every receiver gets its own copy of data: transports decode
+// in place, so a shared backing slice would let one member's decode
+// corrupt another's packet.
 func (n *Net) castVia(rng *rand.Rand, sink *shard, from event.Addr, data []byte) {
 	n.stats.bytesOnWire.Add(int64(len(data)))
-	for _, to := range n.order {
-		if to == from {
+	for _, ep := range sink.c.eps {
+		if ep.addr == from || !ep.listed {
 			continue
 		}
 		n.stats.sent.Inc()
 		n.stats.bytesSent.Add(int64(len(data)))
-		n.transmitVia(rng, sink, Packet{From: from, To: to, Data: append([]byte(nil), data...), Cast: true})
+		n.transmitVia(rng, sink, Packet{From: from, To: ep.addr, Data: append([]byte(nil), data...), Cast: true})
 	}
 }
 
@@ -273,7 +212,7 @@ func (n *Net) transmitVia(rng *rand.Rand, sink *shard, p Packet) {
 		n.stats.dropped.Inc()
 		return
 	}
-	n.deliverVia(sink, p, n.delayVia(rng))
+	sink.deliver(p, n.delayVia(rng))
 	if n.profile.DupProb > 0 && rng.Float64() < n.profile.DupProb {
 		n.stats.duplicated.Inc()
 		// The duplicate needs its own buffer too: both copies reach the
@@ -281,7 +220,7 @@ func (n *Net) transmitVia(rng *rand.Rand, sink *shard, p Packet) {
 		// mangle the second.
 		q := p
 		q.Data = append([]byte(nil), p.Data...)
-		n.deliverVia(sink, q, n.delayVia(rng))
+		sink.deliver(q, n.delayVia(rng))
 	}
 }
 
@@ -291,65 +230,4 @@ func (n *Net) delayVia(rng *rand.Rand) int64 {
 		d += rng.Int63n(n.profile.Jitter)
 	}
 	return d
-}
-
-func (n *Net) deliverVia(sink *shard, p Packet, delay int64) {
-	if sink != nil {
-		sink.deliver(p, delay)
-		return
-	}
-	n.deliverAfter(p, delay)
-}
-
-func (n *Net) deliverAfter(p Packet, delay int64) {
-	if n.route != nil {
-		n.route(p, delay)
-		return
-	}
-	n.sim.After(delay, func() { n.deliverNow(p) })
-}
-
-// deliverNow hands p to its endpoint at delivery time. A packet whose
-// endpoint detached while it was in flight counts as dropped — without
-// that, such packets vanish from the books and the Sent/Delivered/
-// Dropped invariant (see stats) silently breaks. A batched frame is one
-// delivery on the books but fans out into one recv call per sub-packet,
-// in order — the receiving member cannot tell batched wires from raw
-// ones (malformed sub-packets surface as garbage and land in the
-// member's stray-packet accounting, like any malformed raw packet).
-func (n *Net) deliverNow(p Packet) {
-	recv, ok := n.eps[p.To]
-	if !ok {
-		n.stats.dropped.Inc()
-		return
-	}
-	n.stats.delivered.Inc()
-	if !transport.IsFrame(p.Data) {
-		recv(p)
-		return
-	}
-	n.stats.frames.Inc()
-	res := n.walker.WalkLink(p.From, p.To, p.Data, func(sub []byte) {
-		n.stats.subPackets.Inc()
-		q := p
-		q.Data = sub
-		recv(q)
-	})
-	n.accountXFrame(res, func(resync []byte) { n.Send(p.To, p.From, resync) })
-}
-
-// accountXFrame counts a cross-frame walk's verdict and, on a
-// generation miss, builds the resync answer and hands it to send. The
-// resync is an ordinary raw send from the receiving endpoint back to
-// the frame's sender, so the Sent/Delivered/Dropped invariant and the
-// deterministic schedule both see it as a normal transmission.
-func (n *Net) accountXFrame(res transport.WalkResult, send func(resync []byte)) {
-	if res.StaleGen {
-		n.stats.staleGenFrames.Inc()
-	}
-	if res.GenMiss {
-		n.stats.genMisses.Inc()
-		n.stats.resyncs.Inc()
-		send(transport.AppendResync(nil, res.Cast, res.Gen))
-	}
 }

@@ -8,55 +8,71 @@ import (
 	"ensemble/internal/event"
 )
 
-func TestSimOrdering(t *testing.T) {
-	s := NewSim(1)
-	var got []int
-	s.At(30, func() { got = append(got, 3) })
-	s.At(10, func() { got = append(got, 1) })
-	s.At(20, func() { got = append(got, 2) })
-	// Ties fire in insertion order.
-	s.At(20, func() { got = append(got, 4) })
-	s.Run(100)
-	want := []int{1, 2, 4, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
+// attachCluster builds a cluster with one attached endpoint per address,
+// in order; recv(a) supplies endpoint a's receive callback (nil
+// discards).
+func attachCluster(seed int64, profile Profile, recv func(a event.Addr) func(Packet), addrs ...event.Addr) *Cluster {
+	c := NewCluster(seed, profile)
+	for _, a := range addrs {
+		var fn func(Packet)
+		if recv != nil {
+			fn = recv(a)
 		}
+		if fn == nil {
+			fn = func(Packet) {}
+		}
+		c.NewEndpoint(a).Attach(a, fn)
 	}
-	if s.Now() != 100 {
-		t.Fatalf("Now = %d after Run(100)", s.Now())
+	return c
+}
+
+func TestSimOrdering(t *testing.T) {
+	c := NewCluster(1, Profile{})
+	var got []int
+	c.AtVirtual(30, func() { got = append(got, 3) })
+	c.AtVirtual(10, func() { got = append(got, 1) })
+	c.AtVirtual(20, func() { got = append(got, 2) })
+	// Ties fire in insertion order.
+	c.AtVirtual(20, func() { got = append(got, 4) })
+	c.Run(100)
+	want := []int{1, 2, 4, 3}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	if c.Sim().Now() != 100 {
+		t.Fatalf("Now = %d after Run(100)", c.Sim().Now())
 	}
 }
 
 func TestSimPastSchedulesClampToNow(t *testing.T) {
-	s := NewSim(1)
-	s.At(50, func() {
-		fired := false
-		s.At(10, func() { fired = true }) // in the past: runs at now
-		s.Run(50)
-		if !fired {
-			t.Error("past-scheduled event never fired")
-		}
+	c := NewCluster(1, Profile{})
+	fired := int64(-1)
+	c.AtVirtual(50, func() {
+		c.AtVirtual(10, func() { fired = c.Sim().Now() }) // in the past: runs at now
 	})
-	s.Run(100)
+	c.Run(100)
+	if fired != 50 {
+		t.Fatalf("past-scheduled event fired at %d, want 50", fired)
+	}
 }
 
 func TestSimDeterminism(t *testing.T) {
 	trace := func(seed int64) string {
-		s := NewSim(seed)
-		n := NewNet(s, Lossy(0.3))
 		var log string
-		for i := 0; i < 3; i++ {
-			a := event.Addr(i + 1)
-			n.Attach(a, func(p Packet) {
-				log += fmt.Sprintf("%d<-%d:%d;", p.To, p.From, len(p.Data))
-			})
-		}
-		for i := 0; i < 50; i++ {
-			n.Cast(1, make([]byte, i))
-			n.Send(2, 3, make([]byte, i))
-		}
-		s.Run(int64(1e9))
+		c := attachCluster(seed, Lossy(0.3), func(a event.Addr) func(Packet) {
+			return func(p Packet) { log += fmt.Sprintf("%d<-%d:%d;", p.To, p.From, len(p.Data)) }
+		}, 1, 2, 3)
+		c.Enqueue(0, 0, func() {
+			for i := 0; i < 50; i++ {
+				c.eps[0].Cast(1, make([]byte, i))
+			}
+		})
+		c.Enqueue(1, 0, func() {
+			for i := 0; i < 50; i++ {
+				c.eps[1].Send(2, 3, make([]byte, i))
+			}
+		})
+		c.Run(int64(1e9))
 		return log
 	}
 	if trace(7) != trace(7) {
@@ -67,30 +83,20 @@ func TestSimDeterminism(t *testing.T) {
 	}
 }
 
-func TestSimRunSteps(t *testing.T) {
-	s := NewSim(1)
-	count := 0
-	for i := 0; i < 10; i++ {
-		s.After(int64(i), func() { count++ })
-	}
-	if ran := s.RunSteps(4); ran != 4 || count != 4 {
-		t.Fatalf("RunSteps: ran=%d count=%d", ran, count)
-	}
-	if s.Pending() != 6 {
-		t.Fatalf("Pending = %d", s.Pending())
-	}
-}
-
 func TestNetFifoWithoutJitter(t *testing.T) {
-	s := NewSim(3)
-	n := NewNet(s, Profile{Latency: 1000})
 	var got []int
-	n.Attach(2, func(p Packet) { got = append(got, int(p.Data[0])) })
-	n.Attach(1, func(Packet) {})
-	for i := 0; i < 100; i++ {
-		n.Send(1, 2, []byte{byte(i)})
-	}
-	s.Run(int64(1e9))
+	c := attachCluster(3, Profile{Latency: 1000}, func(a event.Addr) func(Packet) {
+		if a != 2 {
+			return nil
+		}
+		return func(p Packet) { got = append(got, int(p.Data[0])) }
+	}, 1, 2)
+	c.Enqueue(0, 0, func() {
+		for i := 0; i < 100; i++ {
+			c.eps[0].Send(1, 2, []byte{byte(i)})
+		}
+	})
+	c.Run(int64(1e9))
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("delivery %d = %d: reordering on a jitter-free link", i, v)
@@ -102,37 +108,45 @@ func TestNetFifoWithoutJitter(t *testing.T) {
 }
 
 func TestNetLossRate(t *testing.T) {
-	s := NewSim(5)
-	n := NewNet(s, Profile{Latency: 10, LossProb: 0.25})
 	delivered := 0
-	n.Attach(2, func(Packet) { delivered++ })
-	n.Attach(1, func(Packet) {})
+	c := attachCluster(5, Profile{Latency: 10, LossProb: 0.25}, func(a event.Addr) func(Packet) {
+		if a != 2 {
+			return nil
+		}
+		return func(Packet) { delivered++ }
+	}, 1, 2)
 	const total = 20000
-	for i := 0; i < total; i++ {
-		n.Send(1, 2, []byte{1})
-	}
-	s.Run(int64(1e9))
+	c.Enqueue(0, 0, func() {
+		for i := 0; i < total; i++ {
+			c.eps[0].Send(1, 2, []byte{1})
+		}
+	})
+	c.Run(int64(1e9))
 	rate := 1 - float64(delivered)/total
 	if math.Abs(rate-0.25) > 0.02 {
 		t.Fatalf("loss rate %.3f, want ≈0.25", rate)
 	}
-	st := n.Stats()
+	st := c.Net().Stats()
 	if st.Dropped != int64(total-delivered) {
 		t.Fatalf("stats dropped=%d, observed %d", st.Dropped, total-delivered)
 	}
 }
 
 func TestNetDuplication(t *testing.T) {
-	s := NewSim(5)
-	n := NewNet(s, Profile{Latency: 10, DupProb: 0.5})
 	delivered := 0
-	n.Attach(2, func(Packet) { delivered++ })
-	n.Attach(1, func(Packet) {})
+	c := attachCluster(5, Profile{Latency: 10, DupProb: 0.5}, func(a event.Addr) func(Packet) {
+		if a != 2 {
+			return nil
+		}
+		return func(Packet) { delivered++ }
+	}, 1, 2)
 	const total = 10000
-	for i := 0; i < total; i++ {
-		n.Send(1, 2, []byte{1})
-	}
-	s.Run(int64(1e9))
+	c.Enqueue(0, 0, func() {
+		for i := 0; i < total; i++ {
+			c.eps[0].Send(1, 2, []byte{1})
+		}
+	})
+	c.Run(int64(1e9))
 	extra := float64(delivered-total) / total
 	if math.Abs(extra-0.5) > 0.03 {
 		t.Fatalf("duplication rate %.3f, want ≈0.5", extra)
@@ -140,45 +154,51 @@ func TestNetDuplication(t *testing.T) {
 }
 
 func TestNetCastExcludesSender(t *testing.T) {
-	s := NewSim(1)
-	n := NewNet(s, Profile{})
 	counts := map[event.Addr]int{}
-	for _, a := range []event.Addr{1, 2, 3} {
-		a := a
-		n.Attach(a, func(Packet) { counts[a]++ })
-	}
-	n.Cast(1, []byte("x"))
-	s.Run(10)
+	c := attachCluster(1, Profile{}, func(a event.Addr) func(Packet) {
+		return func(Packet) { counts[a]++ }
+	}, 1, 2, 3)
+	c.Enqueue(0, 0, func() { c.eps[0].Cast(1, []byte("x")) })
+	c.Run(10)
 	if counts[1] != 0 || counts[2] != 1 || counts[3] != 1 {
 		t.Fatalf("counts = %v", counts)
 	}
 }
 
 func TestNetDetach(t *testing.T) {
-	s := NewSim(1)
-	n := NewNet(s, Profile{Latency: 100})
 	got := 0
-	n.Attach(2, func(Packet) { got++ })
-	n.Attach(1, func(Packet) {})
-	n.Send(1, 2, []byte("a")) // in flight
-	n.Detach(2)
-	n.Send(1, 2, []byte("b"))
-	s.Run(int64(1e6))
+	c := attachCluster(1, Profile{Latency: 100}, func(a event.Addr) func(Packet) {
+		if a != 2 {
+			return nil
+		}
+		return func(Packet) { got++ }
+	}, 2, 1)
+	c.Enqueue(1, 0, func() { c.eps[1].Send(1, 2, []byte("a")) }) // in flight
+	c.Enqueue(0, 10, func() { c.eps[0].Detach(2) })
+	c.Enqueue(1, 20, func() { c.eps[1].Send(1, 2, []byte("b")) })
+	c.Run(int64(1e6))
 	if got != 0 {
 		t.Fatalf("detached endpoint received %d packets", got)
+	}
+	if st := c.Net().Stats(); st.Sent != 2 || st.Dropped != 2 {
+		t.Fatalf("packets to a detached endpoint must count dropped: %+v", st)
 	}
 }
 
 func TestNetSendCopiesData(t *testing.T) {
-	s := NewSim(1)
-	n := NewNet(s, Profile{Latency: 100})
 	var seen []byte
-	n.Attach(2, func(p Packet) { seen = p.Data })
-	n.Attach(1, func(Packet) {})
-	buf := []byte{1, 2, 3}
-	n.Send(1, 2, buf)
-	buf[0] = 99 // caller reuses its buffer before delivery
-	s.Run(int64(1e6))
+	c := attachCluster(1, Profile{Latency: 100}, func(a event.Addr) func(Packet) {
+		if a != 2 {
+			return nil
+		}
+		return func(p Packet) { seen = p.Data }
+	}, 1, 2)
+	c.Enqueue(0, 0, func() {
+		buf := []byte{1, 2, 3}
+		c.eps[0].Send(1, 2, buf)
+		buf[0] = 99 // caller reuses its buffer before delivery
+	})
+	c.Run(int64(1e6))
 	if seen[0] != 1 {
 		t.Fatal("network aliased the caller's buffer")
 	}
@@ -190,10 +210,10 @@ func TestDuplicateAttachPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	s := NewSim(1)
-	n := NewNet(s, Profile{})
-	n.Attach(1, func(Packet) {})
-	n.Attach(1, func(Packet) {})
+	c := NewCluster(1, Profile{})
+	ep := c.NewEndpoint(1)
+	ep.Attach(1, func(Packet) {})
+	ep.Attach(1, func(Packet) {})
 }
 
 func TestProfiles(t *testing.T) {

@@ -114,9 +114,9 @@ type shard struct {
 	// during routePhase, drained at the top of the next commitPhase.
 	resyncQ []resyncReq
 
-	// detachQ defers Net-level detach (map and cast-order mutation) to
-	// the barrier: commits run in parallel, and the shared Net tables
-	// may only be touched by the scheduler between phases.
+	// detachQ defers dropping detaching endpoints from cast fan-out to
+	// the barrier: commits run in parallel and every shard's castVia
+	// reads the listed flags, so they may only change between phases.
 	detachQ []*Endpoint
 
 	// routed is the event count of the last route phase; the adaptive
@@ -221,7 +221,7 @@ func (s *shard) routePhase(batchEnd int64) {
 // sub-packet happens here, so the member's recv sees exactly the
 // raw-wire interface it always did.
 func (s *shard) arrive(ep *Endpoint, t int64, p Packet) {
-	if _, attached := s.c.net.eps[p.To]; !attached || ep.detached || ep.recv == nil {
+	if ep.detached || ep.recv == nil {
 		s.c.net.stats.dropped.Inc()
 		s.traceLine('x', t, p)
 		return

@@ -1,25 +1,21 @@
 // Package netsim provides the network substrates under the protocol
-// stacks: a deterministic discrete-event simulator with configurable
-// latency, loss, reordering, and duplication (the abstract LossyNetwork
-// of Fig. 2(b) made executable), latency models for the links the paper
-// reports against (100 Mbit Ethernet, VIA), and a real UDP transport for
-// running examples between processes.
+// stacks: a deterministic discrete-event cluster simulator with
+// configurable latency, loss, reordering, and duplication (the abstract
+// LossyNetwork of Fig. 2(b) made executable), latency models for the
+// links the paper reports against (100 Mbit Ethernet, VIA), and a real
+// UDP transport for running examples between processes.
 package netsim
 
-import (
-	"container/heap"
-	"math/rand"
-)
+import "container/heap"
 
-// Sim is a deterministic discrete-event simulator driven by virtual
-// time in nanoseconds. All scheduling is single-goroutine; ties are
-// broken by insertion order, so runs are reproducible for a given seed.
+// Sim is a Cluster's global clock: virtual time in nanoseconds, plus a
+// queue of instrumentation events (Cluster.AtVirtual) that the scheduler
+// runs at round cuts. Ties are broken by insertion order, so runs are
+// reproducible.
 type Sim struct {
-	now  int64
-	seq  int64
-	pq   simPQ
-	rng  *rand.Rand
-	idle bool
+	now int64
+	seq int64
+	pq  simPQ
 }
 
 type simEvent struct {
@@ -37,20 +33,12 @@ func (q simPQ) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q simPQ) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *simPQ) Push(x any)        { *q = append(*q, x.(simEvent)) }
-func (q *simPQ) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
-
-// NewSim builds a simulator with a seeded random source.
-func NewSim(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed))}
-}
+func (q simPQ) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *simPQ) Push(x any)   { *q = append(*q, x.(simEvent)) }
+func (q *simPQ) Pop() any     { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
 
 // Now returns the current virtual time in nanoseconds.
 func (s *Sim) Now() int64 { return s.now }
-
-// Rand exposes the simulator's deterministic random source.
-func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // At schedules fn at virtual time t (clamped to now for past times).
 func (s *Sim) At(t int64, fn func()) {
@@ -60,46 +48,3 @@ func (s *Sim) At(t int64, fn func()) {
 	s.seq++
 	heap.Push(&s.pq, simEvent{t: t, seq: s.seq, fn: fn})
 }
-
-// After schedules fn delay nanoseconds from now.
-func (s *Sim) After(delay int64, fn func()) { s.At(s.now+delay, fn) }
-
-// Step runs the next scheduled event. It reports false when the queue
-// is empty.
-func (s *Sim) Step() bool {
-	if s.pq.Len() == 0 {
-		return false
-	}
-	ev := heap.Pop(&s.pq).(simEvent)
-	s.now = ev.t
-	ev.fn()
-	return true
-}
-
-// Run executes events until the queue is empty or virtual time would
-// pass deadline. It returns the number of events executed.
-func (s *Sim) Run(deadline int64) int {
-	n := 0
-	for s.pq.Len() > 0 && s.pq[0].t <= deadline {
-		s.Step()
-		n++
-	}
-	if s.now < deadline {
-		s.now = deadline
-	}
-	return n
-}
-
-// RunSteps executes at most n events, returning how many ran. A bound on
-// event count (rather than time) keeps livelocked configurations from
-// spinning forever in tests.
-func (s *Sim) RunSteps(n int) int {
-	ran := 0
-	for ran < n && s.Step() {
-		ran++
-	}
-	return ran
-}
-
-// Pending reports the number of scheduled events.
-func (s *Sim) Pending() int { return s.pq.Len() }

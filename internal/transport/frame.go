@@ -90,7 +90,7 @@ func WalkFrame(data []byte, fn func(sub []byte)) int {
 }
 
 // BatchSink consumes flushed frames. core.Network's transmit half
-// (netsim.Net, netsim.Endpoint, netsim.UDPNet) satisfies it.
+// (netsim.Endpoint, netsim.UDPNet) satisfies it.
 type BatchSink interface {
 	Send(from, to event.Addr, data []byte)
 	Cast(from event.Addr, data []byte)
