@@ -62,8 +62,8 @@ bench-throughput:
 # must stay at 0 allocs/op, the 8-member batched network runs must
 # coalesce >= 2 sub-packets per frame, cross-frame delta compression
 # (the member default) must cut the 8-member MACH workload's bytes/msg
-# by >= 50% against the classic frame format (with the intra-frame delta
-# point present as the ablation), turning the metrics registry + flight
+# by >= 50% against the classic frame format (with the BatchedDelta
+# point — 0xB9, chaining off — present as the ablation), turning the metrics registry + flight
 # recorder on must keep >= 97% of the unobserved 8-member throughput,
 # the multi-CCP dispatch family must cut the mixed workload's
 # interpreted share to <= 0.5x the single-CCP baseline, the
@@ -118,7 +118,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzXFrameRoundTrip -fuzztime 10s ./internal/transport/
 
 # A flight recording of the standard 8-member MACH delta-batched
-# workload, exported as Chrome trace_event JSON — open flight.trace.json
+# workload (0xB9, chaining off), exported as Chrome trace_event JSON — open flight.trace.json
 # in Perfetto (ui.perfetto.dev) or chrome://tracing; one track per
 # member.
 flight:

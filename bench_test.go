@@ -89,9 +89,9 @@ func benchThroughput(b *testing.B, cfg bench.Config, names []string, size int) {
 // receiver's walker decode on the measured path (flushing every 8
 // rounds, so data frames carry ~8 sub-packets); the steady state must
 // stay at 0 allocs/op — the batcher recycles its frame buffers. The
-// BatchedDelta variants run the same path over the delta-compressed
-// frame format, putting the delta encode and the reconstructing decode
-// under the same zero-allocation gate.
+// BatchedDelta variants run the same path over the 0xB9 delta frame
+// format (chaining off), putting the delta encode and the reconstructing
+// decode under the same zero-allocation gate.
 func benchThroughputBatched(b *testing.B, cfg bench.Config, names []string, size int) {
 	b.Helper()
 	benchThroughputRunner(b, cfg, names, size, bench.Batched)
@@ -295,7 +295,9 @@ func benchThroughputNet(b *testing.B, cfg bench.Config, members, workers int) {
 // classic frame format and report the observed coalescing factor; the
 // BatchedDelta variants add delta header compression. Both report
 // bytes/msg — bytes on the wire during the data phase per application
-// cast — which is what the compression gate compares.
+// cast — which is what the compression gate compares — and xfirst-delta,
+// the frames whose first sub rode the previous frame's last sub (0
+// unless chaining is on).
 func benchThroughputNetBatched(b *testing.B, cfg bench.Config, members, workers int) {
 	benchThroughputNetMode(b, cfg, members, workers, 64, bench.Batched)
 }
@@ -316,6 +318,7 @@ func benchThroughputNetMode(b *testing.B, cfg bench.Config, members, workers, si
 	if mode != bench.Immediate {
 		b.ReportMetric(res.SubsPerFrame, "subs/frame")
 		b.ReportMetric(res.BytesPerMsg, "bytes/msg")
+		b.ReportMetric(float64(res.Batch.XFirstDelta), "xfirst-delta")
 	}
 }
 
@@ -352,11 +355,12 @@ func BenchmarkThroughputNet_8Members_FUNC_Conc_Batched(b *testing.B) {
 
 // The compression gate ladder: the same 8-member MACH cast workload at
 // the minimum stamped payload (8 bytes — header-dominated wires, the
-// case delta compression exists for), classic frames vs intra-frame
-// delta vs cross-frame delta chains with adaptive flush (the member
-// default). The bench gate requires the cross-frame variant's bytes/msg
-// to come in at no more than half the classic one; the intra-frame
-// point stays in the sweep as the ablation between them.
+// case delta compression exists for), classic frames vs 0xB9 delta
+// frames with chaining off vs chained 0xB9 delta frames with adaptive
+// flush (the member default). The bench gate requires the cross-frame
+// variant's bytes/msg to come in at no more than half the classic one;
+// the unchained point stays in the sweep as the ablation between them
+// (it reports xfirst-delta 0: every frame an anchor).
 func BenchmarkThroughputNet_8Members_MACH_Seq_Batched(b *testing.B) {
 	benchThroughputNetMode(b, bench.MACH, 8, 1, 8, bench.Batched)
 }

@@ -10,8 +10,9 @@
 //   - cross-frame delta compression (the member default: 0xB9 chains +
 //     adaptive flush) must at least halve the 8-member MACH workload's
 //     bytes on the wire per message against the classic frame format
-//     (BatchedCross bytes/msg <= 0.5x Batched); the intra-frame delta
-//     point must be present alongside as the ablation;
+//     (BatchedCross bytes/msg <= 0.5x Batched); the BatchedDelta point
+//     (0xB9, chaining off: every frame an anchor) must be present
+//     alongside as the ablation that isolates what chaining buys;
 //   - observability is free enough to leave on: the _Obs unit
 //     benchmarks (registry + flight recorder live on the emit path) are
 //     held to the same 0 allocs/op bar by the 10-layer scan, and the
@@ -42,7 +43,8 @@
 //
 // It optionally records the parsed numbers as a JSON trajectory file so
 // the repository keeps a machine-readable history of the batching
-// figures next to the PR that produced them.
+// figures next to the PR that produced them, together with the host
+// they were measured on (CPU model, nproc, GOMAXPROCS, Go version).
 //
 // Usage:
 //
@@ -57,11 +59,23 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 )
+
+// benchCPU returns the CPU model go test prints in its bench header
+// ("cpu: ..."), or "" when the output has none.
+func benchCPU(data []byte) string {
+	for _, line := range strings.Split(string(data), "\n") {
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			return strings.TrimSpace(cpu)
+		}
+	}
+	return ""
+}
 
 // result is one benchmark line's metrics, keyed by unit ("ns/op",
 // "msgs/sec", "subs/frame", "B/op", "allocs/op", ...).
@@ -117,27 +131,27 @@ func main() {
 	net := map[string]result{}
 	mixed := map[string]result{}
 	netRaw := "" // raw text kept for SKIP-marker detection (Gate 6)
-	if *unitPath != "" {
-		data, err := os.ReadFile(*unitPath)
+	cpu := "unknown"
+	read := func(path string) []byte {
+		data, err := os.ReadFile(path)
 		if err != nil {
-			fatal("read %s: %v", *unitPath, err)
+			fatal("read %s: %v", path, err)
 		}
-		unit = parseBench(data)
+		if c := benchCPU(data); c != "" {
+			cpu = c
+		}
+		return data
+	}
+	if *unitPath != "" {
+		unit = parseBench(read(*unitPath))
 	}
 	if *netPath != "" {
-		data, err := os.ReadFile(*netPath)
-		if err != nil {
-			fatal("read %s: %v", *netPath, err)
-		}
+		data := read(*netPath)
 		net = parseBench(data)
 		netRaw = string(data)
 	}
 	if *mixedPath != "" {
-		data, err := os.ReadFile(*mixedPath)
-		if err != nil {
-			fatal("read %s: %v", *mixedPath, err)
-		}
-		mixed = parseBench(data)
+		mixed = parseBench(read(*mixedPath))
 	}
 
 	failures := 0
@@ -195,8 +209,8 @@ func main() {
 	// classic format's bytes/msg. The gate trio is the 8-member MACH cast
 	// workload at the minimum stamped payload (the header-dominated
 	// regime compression targets), same harness all sides — only the
-	// frame format differs. The intra-frame delta point must also be
-	// present, as the ablation between the two.
+	// frame format differs. The BatchedDelta point (0xB9, chaining off)
+	// must also be present, as the ablation between the two.
 	const classicName = "BenchmarkThroughputNet_8Members_MACH_Seq_Batched"
 	const deltaName = "BenchmarkThroughputNet_8Members_MACH_Seq_BatchedDelta"
 	const crossName = "BenchmarkThroughputNet_8Members_MACH_Seq_BatchedCross"
@@ -409,6 +423,17 @@ func main() {
 			"pr":    10,
 			"title": "Causal cross-member tracing, zero-alloc latency histograms, and a live telemetry plane",
 			"date":  time.Now().Format("2006-01-02"),
+			// The host the numbers were measured on. nproc and GOMAXPROCS
+			// are read here; make bench-gate runs the benchmarks in the same
+			// environment, so they match what the go test runs saw.
+			"host": map[string]any{
+				"cpu":        cpu,
+				"nproc":      runtime.NumCPU(),
+				"gomaxprocs": runtime.GOMAXPROCS(0),
+				"go_version": runtime.Version(),
+				"goos":       runtime.GOOS,
+				"goarch":     runtime.GOARCH,
+			},
 			"method": "make bench-gate: go test -run xxx -bench BenchmarkThroughput_ -benchtime 100x (alloc gate), " +
 				"-bench BenchmarkThroughputNet_ -benchtime 150x (coalescing + compression + obs-overhead + scaling gates; " +
 				"the _Scale_ points run fixed round counts and the 256-member point skips under 4 cores unless " +
@@ -460,7 +485,7 @@ func main() {
 	if scale256Skipped {
 		scale256 = "skipped (<4 cores)"
 	}
-	fmt.Printf("bench-gate: OK (%d ten-layer benchmarks at 0 allocs/op incl. %d observed and %d histogram-instrumented, %d batched 8-member net runs >= 2 subs/frame, xframe bytes/msg ratio %.3f (intra-delta %.3f), obs-ratio %.3f, interp-share ratio %.3f, %d scale points identical, xframe identity OK, %.0f causal spans complete, 256-member point %s)\n",
+	fmt.Printf("bench-gate: OK (%d ten-layer benchmarks at 0 allocs/op incl. %d observed and %d histogram-instrumented, %d batched 8-member net runs >= 2 subs/frame, xframe bytes/msg ratio %.3f (unchained delta %.3f), obs-ratio %.3f, interp-share ratio %.3f, %d scale points identical, xframe identity OK, %.0f causal spans complete, 256-member point %s)\n",
 		tenLayer, obsUnit, obsHistUnit, netBatched8, bytesRatio, deltaRatio, obsRatio, interpRatio, scalePoints, spanCount, scale256)
 }
 

@@ -42,9 +42,9 @@ type NetThroughput struct {
 	// Net is the simulated network's accounting for the run.
 	Net netsim.Stats
 	// Mode reports how the members' wires reached the network: immediate
-	// single-sub frames (the ablation), classic coalesced frames,
-	// intra-frame delta frames, or cross-frame delta chains with the
-	// adaptive flush controller (the member default). SubsPerFrame is the
+	// single-sub frames (the ablation), classic coalesced frames, 0xB9
+	// delta frames with chaining off, or chained 0xB9 delta frames with
+	// the adaptive flush controller (the member default). SubsPerFrame is the
 	// observed coalescing factor.
 	Mode         BatchMode
 	SubsPerFrame float64
@@ -78,8 +78,9 @@ type NetThroughput struct {
 // The batched modes leave the members' wire batching on and turn on the
 // adaptive quantum, so drains see enough traffic to coalesce —
 // BatchedCross is the member default (cross-frame delta chains plus the
-// adaptive flush controller), BatchedDelta drops back to intra-frame
-// delta with burst-end flushes, Batched runs the classic frame format.
+// adaptive flush controller), BatchedDelta keeps the 0xB9 format with
+// chaining off (every frame an anchor) and burst-end flushes, Batched
+// runs the classic frame format.
 // Immediate is the ablation — every wire is its own single-sub classic
 // frame under the fixed default quantum.
 func MeasureNetThroughput(cfg Config, names []string, members, size, rounds int, seed int64, workers int, mode BatchMode) (NetThroughput, error) {
@@ -144,10 +145,10 @@ func measureNetThroughput(cfg Config, names []string, members, size, rounds int,
 	}
 	// The modes are rungs of the wire-format ladder, carved out of the
 	// member default (cross-frame delta + adaptive flush) by ablation:
-	// BatchedCross leaves the default untouched; BatchedDelta drops back
-	// to intra-frame delta with a plain burst-end flush; Batched strips
-	// delta compression entirely; Immediate additionally gives every sub
-	// its own frame.
+	// BatchedCross leaves the default untouched; BatchedDelta turns
+	// chaining off (0xB9, chaining off) with a plain burst-end flush;
+	// Batched strips delta compression entirely; Immediate additionally
+	// gives every sub its own frame.
 	switch mode {
 	case BatchedCross:
 		// Member defaults: 0xB9 chains + adaptive flush stay on.

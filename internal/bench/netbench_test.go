@@ -29,6 +29,10 @@ func TestNetThroughputConcurrent(t *testing.T) {
 				t.Fatalf("delivery results diverge: seq %d/%.0fns conc %d/%.0fns",
 					seq.Delivered, seq.VirtualLatency, conc.Delivered, conc.VirtualLatency)
 			}
+			// BatchedDelta is 0xB9 with chaining off: every frame an anchor.
+			if bs := seq.Batch; bs.XFrames == 0 || bs.XFirstDelta != 0 || bs.XFirstFull != bs.XFrames {
+				t.Fatalf("unchained delta run chained across frames: %+v", bs)
+			}
 			if conc.VirtualLatency < 80_000 {
 				t.Fatalf("virtual latency %.0fns below the 80µs link latency (stamp plumbing broken)",
 					conc.VirtualLatency)

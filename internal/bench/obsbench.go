@@ -14,7 +14,7 @@ import (
 // reports and Gate 4 polices.
 
 // FlightRecording drives the standard N-member MACH workload
-// (delta-batched, adaptive quantum — the production configuration)
+// (delta-batched — 0xB9, chaining off — under the adaptive quantum)
 // with full observability on and returns the run's result, whose
 // Recorder and Metrics fields carry the flight and the counters.
 func FlightRecording(members, rounds int, seed int64, workers int) (NetThroughput, error) {

@@ -25,11 +25,12 @@ import (
 
 // BatchMode selects how outgoing wires reach the network in a measured
 // run — the wire-format ladder, one rung per mode: one transmission per
-// wire (Immediate — the ablation), classic coalesced frames (Batched),
-// intra-frame delta-compressed frames (BatchedDelta — see
-// transport/delta.go), or cross-frame delta with generation-tagged
-// per-peer state plus the adaptive flush controller (BatchedCross, the
-// production default for members — see transport/xframe.go).
+// wire (Immediate — the ablation), classic 0xB7 coalesced frames
+// (Batched), 0xB9 delta frames with chaining off so every frame is an
+// anchor (BatchedDelta — see transport/delta.go), or 0xB9 delta frames
+// chained across frame boundaries plus the adaptive flush controller
+// (BatchedCross, the production default for members — see
+// transport/xframe.go).
 type BatchMode int
 
 const (
@@ -131,6 +132,29 @@ func (p *wirePump) send(to int, wire []byte) {
 	p.active = false
 }
 
+// newFramePump builds the two-member pump: every wire reaches deliver,
+// frames walked apart into their sub-packets first on the link from the
+// other member. The walker runs in scratch mode — the pump already
+// requires receivers to consume (or copy) a wire during delivery, so
+// reconstructed delta subs may share one recycled buffer, keeping the
+// path at 0 allocs; the link mirrors copy what they keep, and the
+// in-process links are FIFO, so chains never miss.
+func newFramePump(deliver func(to int, wire []byte)) *wirePump {
+	wk := transport.NewFrameWalker(0, false)
+	var walk [2]func(sub []byte)
+	for m := range walk {
+		m := m
+		walk[m] = func(sub []byte) { deliver(m, sub) }
+	}
+	return &wirePump{deliver: func(to int, wire []byte) {
+		if transport.IsFrame(wire) {
+			wk.WalkLink(event.Addr(1-to), event.Addr(to), wire, walk[to])
+			return
+		}
+		deliver(to, wire)
+	}}
+}
+
 // NewThroughputRunner builds the two-member system for cfg.
 func NewThroughputRunner(cfg Config, names []string, size int) (*ThroughputRunner, error) {
 	return newThroughputRunner(cfg, names, size, Immediate)
@@ -146,9 +170,10 @@ func NewBatchedThroughputRunner(cfg Config, names []string, size int) (*Throughp
 }
 
 // NewBatchedDeltaThroughputRunner is NewBatchedThroughputRunner with the
-// delta-compressed frame format, putting the delta encode and the
-// reconstructing walker decode on the measured path. The harness's bare
-// wires carry no epoch prefix, so the codec runs with prefix arity 0.
+// delta frame format (0xB9, chaining off), putting the delta encode and
+// the reconstructing walker decode on the measured path. The harness's
+// bare wires carry no epoch prefix, so the codec runs with prefix arity
+// 0.
 func NewBatchedDeltaThroughputRunner(cfg Config, names []string, size int) (*ThroughputRunner, error) {
 	return newThroughputRunner(cfg, names, size, BatchedDelta)
 }
@@ -256,7 +281,8 @@ func (r *ThroughputRunner) rawEmitters(pump *wirePump) [2]func(to int, wire []by
 		m := m
 		batch[m] = transport.NewBatcher(pumpSink{pump: pump}, event.Addr(m), 0)
 		if r.mode == BatchedDelta {
-			batch[m].EnableDelta(0) // bare wires: no epoch prefix
+			batch[m].EnableCrossFrame(0) // bare wires: no epoch prefix
+			batch[m].DisableCrossFrame()
 		}
 		emit[m] = func(to int, wire []byte) { batch[m].Send(event.Addr(to), wire) }
 	}
@@ -267,14 +293,9 @@ func (r *ThroughputRunner) rawEmitters(pump *wirePump) [2]func(to int, wire []by
 		}
 	}
 	r.batchStats = func() transport.BatcherStats {
-		a, b := batch[0].Stats(), batch[1].Stats()
-		return transport.BatcherStats{
-			SubPackets: a.SubPackets + b.SubPackets,
-			Frames:     a.Frames + b.Frames,
-			Flushes:    a.Flushes + b.Flushes,
-			DeltaSubs:  a.DeltaSubs + b.DeltaSubs,
-			FrameBytes: a.FrameBytes + b.FrameBytes,
-		}
+		st := batch[0].Stats()
+		st.Add(batch[1].Stats())
+		return st
 	}
 	return emit
 }
@@ -286,29 +307,13 @@ func (r *ThroughputRunner) rawEmitters(pump *wirePump) [2]func(to int, wire []by
 func (r *ThroughputRunner) initStacks(names []string, mode stack.Mode) error {
 	var stks [2]stack.Stack
 	var wbufs [2]transport.Writer
-	var walk [2]func(sub []byte)
-	deliverOne := func(to int, wire []byte) {
+	pump := newFramePump(func(to int, wire []byte) {
 		up, err := transport.Unmarshal(wire)
 		if err != nil {
 			panic(fmt.Sprintf("bench: unmarshal: %v", err))
 		}
 		stks[to].DeliverUp(up)
-	}
-	// Ephemeral scratch walker: the pump already requires receivers to
-	// consume (or copy) a wire during delivery, so reconstructed delta
-	// subs may share one recycled buffer — keeping the path at 0 allocs.
-	wk := transport.NewFrameWalker(0, false)
-	pump := &wirePump{deliver: func(to int, wire []byte) {
-		if transport.IsFrame(wire) {
-			wk.Walk(wire, walk[to])
-			return
-		}
-		deliverOne(to, wire)
-	}}
-	for m := 0; m < 2; m++ {
-		m := m
-		walk[m] = func(sub []byte) { deliverOne(m, sub) }
-	}
+	})
 	emit := r.emitters(pump)
 	for m := 0; m < 2; m++ {
 		m := m
@@ -344,19 +349,7 @@ func (r *ThroughputRunner) initStacks(names []string, mode stack.Mode) error {
 
 func (r *ThroughputRunner) initMach(names []string) error {
 	var engs [2]*opt.Engine
-	var walk [2]func(sub []byte)
-	wk := transport.NewFrameWalker(0, false)
-	pump := &wirePump{deliver: func(to int, wire []byte) {
-		if transport.IsFrame(wire) {
-			wk.Walk(wire, walk[to])
-			return
-		}
-		engs[to].Packet(wire)
-	}}
-	for m := 0; m < 2; m++ {
-		m := m
-		walk[m] = func(sub []byte) { engs[m].Packet(sub) }
-	}
+	pump := newFramePump(func(to int, wire []byte) { engs[to].Packet(wire) })
 	emit := r.emitters(pump)
 	for m := 0; m < 2; m++ {
 		m := m
@@ -384,19 +377,7 @@ func (r *ThroughputRunner) initMach(names []string) error {
 
 func (r *ThroughputRunner) initHand() error {
 	var hands [2]*layers.HandEngine
-	var walk [2]func(sub []byte)
-	wk := transport.NewFrameWalker(0, false)
-	pump := &wirePump{deliver: func(to int, wire []byte) {
-		if transport.IsFrame(wire) {
-			wk.Walk(wire, walk[to])
-			return
-		}
-		hands[to].Packet(wire)
-	}}
-	for m := 0; m < 2; m++ {
-		m := m
-		walk[m] = func(sub []byte) { hands[m].Packet(sub) }
-	}
+	pump := newFramePump(func(to int, wire []byte) { hands[to].Packet(wire) })
 	emit := r.emitters(pump)
 	for m := 0; m < 2; m++ {
 		m := m
@@ -507,7 +488,7 @@ func MeasureBatchedThroughput(cfg Config, names []string, size, rounds int) (Thr
 }
 
 // MeasureBatchedDeltaThroughput is MeasureBatchedThroughput over the
-// delta-compressed frame format.
+// delta frame format (0xB9, chaining off).
 func MeasureBatchedDeltaThroughput(cfg Config, names []string, size, rounds int) (Throughput, error) {
 	return measureThroughput(cfg, names, size, rounds, BatchedDelta)
 }

@@ -79,7 +79,8 @@ func MeasureUDPThroughput(msgs, size, burst int, mode BatchMode) (UDPThroughput,
 	batch := transport.NewBatcher(a, 1, 0)
 	switch mode {
 	case BatchedDelta:
-		batch.EnableDelta(transport.EpochPrefixUvarints)
+		batch.EnableCrossFrame(transport.EpochPrefixUvarints)
+		batch.DisableCrossFrame()
 	case Immediate:
 		batch.SetImmediate(true)
 	}

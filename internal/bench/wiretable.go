@@ -9,8 +9,9 @@ import (
 
 // WireTable reports what the wire-format ladder buys, mode by mode:
 // immediate single-sub frames (no coalescing), classic batched frames,
-// intra-frame delta frames, and cross-frame delta chains with the
-// adaptive flush controller — the member default. The figure of merit
+// 0xB9 delta frames with chaining off (every frame an anchor), and
+// chained 0xB9 delta frames with the adaptive flush controller — the
+// member default. The figure of merit
 // is bytes on the wire per application message during the data phase
 // (see NetThroughput.BytesPerMsg for the measurement window); the
 // workload is the compression gate's — an 8-member MACH group casting
@@ -19,7 +20,7 @@ import (
 // Beyond bytes/msg and the coalescing factor, the table breaks down
 // where cross-frame chaining wins: `xdelta-1st` is the share of frames
 // whose FIRST sub rode the previous frame's base instead of a full
-// header (intra-frame delta always pays full price there), and the
+// header (with chaining off it always pays full price there), and the
 // flush columns attribute every emitted frame batch to its cause —
 // size-limit, entry-end, or barrier — plus the frames the adaptive
 // controller held back at a flush point it chose to skip.

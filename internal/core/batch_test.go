@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"testing"
+	"time"
 
 	"ensemble/internal/event"
 	"ensemble/internal/layers"
@@ -81,6 +82,86 @@ func TestBatchedFrameStrayEdgeCases(t *testing.T) {
 			}
 		})
 	}
+}
+
+// legacyDeltaFrames are packets in the retired intra-frame delta format
+// (magic 0xB8) an old-build peer would still send: a full-sub frame and
+// the bare magic. Neither is a frame any more, and no 0xB8-led packet
+// parses as a live epoch (the continuation bit forces epoch >= 56 or a
+// truncated prefix).
+var legacyDeltaFrames = [][]byte{
+	{0xB8, 0x00, 0x05, 0x01, 0x01, 0xC0, 0x07, 0x00},
+	{0xB8},
+}
+
+// TestLegacyDeltaFrameIsStray: a retired-format (0xB8) packet reaches the
+// member raw on both substrates — the netsim cluster and UDPNet — lands
+// in stray accounting, and panics nowhere.
+func TestLegacyDeltaFrameIsStray(t *testing.T) {
+	want := int64(len(legacyDeltaFrames))
+	t.Run("netsim", func(t *testing.T) {
+		g, err := NewOptimizedClusterGroup(2, netsim.Profile{Latency: 1000}, 3, layers.Stack10(), stack.Func, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := g.Members[0]
+		rogue := g.Cluster.NewEndpoint(99)
+		for _, pkt := range legacyDeltaFrames {
+			rogue.Send(99, m.addr, pkt)
+		}
+		g.Run(int64(1e7))
+		if got := m.Stats().StrayPackets; got != want {
+			t.Fatalf("%d strays, want %d", got, want)
+		}
+		if st := g.Cluster.Net().Stats(); st.Frames != 0 || st.GenMisses != 0 {
+			t.Fatalf("legacy packets taken for frames: %+v", st)
+		}
+	})
+	t.Run("udp", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("wall-clock test")
+		}
+		peers := map[event.Addr]string{}
+		for _, a := range []event.Addr{1, 2} {
+			u, err := netsim.NewUDPNet(a, "127.0.0.1:0", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			peers[a] = u.LocalAddr()
+			u.Close()
+		}
+		nets := map[event.Addr]*netsim.UDPNet{}
+		for _, a := range []event.Addr{1, 2} {
+			u, err := netsim.NewUDPNet(a, peers[a], peers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer u.Close()
+			nets[a] = u
+		}
+		v := event.NewView("legacy", 1, []event.Addr{1, 2}, 0)
+		m, err := NewMember(nets[1], nets[1], v, layers.Stack4(), stack.Imp, Handlers{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Start()
+		go nets[1].Run()
+		for _, pkt := range legacyDeltaFrames {
+			nets[2].Send(2, 1, pkt)
+		}
+		strays := func() int64 {
+			ch := make(chan int64, 1)
+			nets[1].Do(func() { ch <- m.Stats().StrayPackets })
+			return <-ch
+		}
+		waitFor(t, 3*time.Second, "legacy packets counted stray", func() bool { return strays() >= want })
+		if got := strays(); got != want {
+			t.Fatalf("%d strays, want %d", got, want)
+		}
+		if st := nets[1].Stats(); st.GenMisses != 0 {
+			t.Fatalf("legacy packets taken for frames: %+v", st)
+		}
+	})
 }
 
 // TestPt2ptSweepOneFlushPerPeer: with acknowledgments cut off, every

@@ -155,7 +155,7 @@ func deltaFrame(t *testing.T, wires ...[]byte) []byte {
 	t.Helper()
 	sink := &frameCapture{}
 	b := transport.NewBatcher(sink, 1, 1<<20)
-	b.EnableDelta(transport.EpochPrefixUvarints)
+	b.EnableCrossFrame(transport.EpochPrefixUvarints)
 	for _, w := range wires {
 		b.Cast(w)
 	}
@@ -166,12 +166,16 @@ func deltaFrame(t *testing.T, wires ...[]byte) []byte {
 	return sink.frames[0]
 }
 
-// TestNetDeltaGarbageKeepsInvariant: a corrupt delta frame (delta sub
-// first, with no base) surfaces its tail as one garbage sub — delivered,
-// counted, no panic — so the frame-level invariant survives malformed
-// input exactly as it does for classic frames.
+// TestNetDeltaGarbageKeepsInvariant: a corrupt delta frame (a good
+// first sub, then a sub with unknown flag bits) surfaces its good sub
+// and then its tail as one garbage sub — delivered, counted, no panic —
+// and answers the broken chain with one resync, so the frame-level
+// invariant survives malformed input exactly as it does for classic
+// frames.
 func TestNetDeltaGarbageKeepsInvariant(t *testing.T) {
-	frame := []byte{transport.DeltaFrameMagic, 0x01, 0x00, 0x02, 0xFF}
+	wire := compressedWire(3, 7, 12, 1, 100, 0xAA)
+	tail := []byte{0xFF, 0x00, 0x02}
+	frame := append(deltaFrame(t, wire), tail...)
 	var got [][]byte
 	c := attachCluster(1, Profile{Latency: 1000}, func(a event.Addr) func(Packet) {
 		if a != 2 {
@@ -182,12 +186,16 @@ func TestNetDeltaGarbageKeepsInvariant(t *testing.T) {
 	c.Enqueue(0, 0, func() { c.eps[0].Send(1, 2, frame) })
 	c.Run(int64(1e9))
 
-	if len(got) != 1 || string(got[0]) != string(frame[1:]) {
+	if len(got) != 2 || string(got[0]) != string(wire) || string(got[1]) != string(tail) {
 		t.Fatalf("garbage tail not surfaced whole: %v", got)
 	}
 	st := c.Net().Stats()
-	if st.Sent != 1 || st.Delivered != 1 || st.Frames != 1 || st.SubPackets != 1 {
+	if st.Frames != 1 || st.SubPackets != 2 || st.GenMisses != 1 || st.Resyncs != 1 {
 		t.Fatalf("garbage accounting: %+v", st)
+	}
+	// The frame and the resync answering it: two transmissions.
+	if st.Sent != 2 || st.Delivered != 2 {
+		t.Fatalf("transmission accounting: %+v", st)
 	}
 	if st.Sent+st.Duplicated != st.Delivered+st.Dropped {
 		t.Fatalf("stats invariant broken: %+v", st)

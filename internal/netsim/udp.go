@@ -166,7 +166,7 @@ const maxBurst = 64
 // address: a peer that rebinds — an ensemble-node restart lands on an
 // ephemeral port — keeps its identity, where source-address matching
 // misattributed it or dropped it silently. 0xD5 collides with neither
-// frame magic (0xB7/0xB8) nor a leading epoch uvarint's first byte in
+// frame magic (0xB7/0xB9) nor a leading epoch uvarint's first byte in
 // practice, but nothing depends on that: the envelope is stripped
 // before the payload is looked at.
 const udpMagic = 0xD5

@@ -179,7 +179,7 @@ func TestUDPBurstFlushCoalesces(t *testing.T) {
 
 	// Stand in for a member: a batcher flushed by the burst-end hook.
 	batch := transport.NewBatcher(a, 1, 0)
-	batch.EnableDelta(transport.EpochPrefixUvarints)
+	batch.EnableCrossFrame(transport.EpochPrefixUvarints)
 	a.SetDrainFlush(func() { batch.Flush() })
 
 	var mu sync.Mutex
@@ -258,7 +258,7 @@ func TestUDPCloseDropsPendingBatch(t *testing.T) {
 	defer b.Close()
 
 	batch := transport.NewBatcher(a, 1, 0)
-	batch.EnableDelta(transport.EpochPrefixUvarints)
+	batch.EnableCrossFrame(transport.EpochPrefixUvarints)
 	a.SetDrainFlush(func() { batch.Flush() })
 
 	done := make(chan error, 1)

@@ -1,21 +1,24 @@
 package transport
 
-// Intra-frame delta compression of sub-packet headers (§4.1.3 taken one
-// step further). Header compression already folds each packet's constant
-// fields into a small stack identifier, so a common-case wire image is
+// Delta compression of sub-packet headers (§4.1.3 taken one step
+// further) — the sub grammar every delta frame carries. Header
+// compression already folds each packet's constant fields into a small
+// stack identifier, so a common-case wire image is
 //
 //	[epoch prefix uvarints] 0xC0 id(2) sender(uvarint) seqno(varint) rest
 //
-// Consecutive sub-packets inside one frame go to the same destination in
-// the same epoch from the same sender with near-sequential seqnos — the
-// header bytes repeat almost verbatim. A delta frame therefore carries
-// the first sub-packet in full and encodes each following one against
-// its predecessor: equal epoch/stack-id/sender are elided entirely and
-// the seqno becomes a (usually one-byte) varint delta.
+// Consecutive sub-packets on one chain go to the same destination in the
+// same epoch from the same sender with near-sequential seqnos — the
+// header bytes repeat almost verbatim. A delta frame (magic XFrameMagic,
+// header in xframe.go) therefore encodes each sub against its
+// predecessor: equal epoch/stack-id/sender are elided entirely and the
+// seqno becomes a (usually one-byte) varint delta. Within a frame the
+// predecessor is the previous sub; for the frame's first sub it is the
+// previous frame's last sub when the chain carries one across the
+// boundary, and nothing (the sub rides full) in an anchor frame.
 //
-// Delta frame wire format:
+// Delta sub grammar (what follows the 0xB9 frame header):
 //
-//	magic     byte = DeltaFrameMagic
 //	subs      repeated {
 //	    flag  byte
 //	    flag == 0x00 (full):   uvarint length, length bytes (a complete
@@ -57,22 +60,16 @@ package transport
 // Any sub can fall back to full encoding — a wire that is not a
 // compressed image (CCP miss, control traffic) and shares no useful
 // prefix with its predecessor, a seqno delta that would overflow, or
-// simply the first sub after a frame boundary — so the format degrades
-// to the classic one per sub, never per frame. The decoder keeps the
-// malformed-input discipline of WalkFrame: a truncated delta, a delta
-// with no base (delta-first-in-frame), unknown flag bits, a shared
-// prefix longer than the previous sub, or an overflowing seqno delta
-// surfaces the remaining bytes as one final garbage sub-packet, which
-// downstream decoders count as a stray packet; nothing panics and
-// nothing is dropped silently.
+// simply the first sub of an anchor frame — so the format degrades to
+// the classic one per sub, never per frame. The decoder keeps the
+// malformed-input discipline of walkFrame: a truncated delta, a delta
+// with no base (delta-first in a frame with nothing seeded), unknown
+// flag bits, a shared prefix longer than the previous sub, or an
+// overflowing seqno delta surfaces the remaining bytes as one final
+// garbage sub-packet, which downstream decoders count as a stray
+// packet; nothing panics and nothing is dropped silently.
 
 import "encoding/binary"
-
-// DeltaFrameMagic is the first byte of a delta-compressed frame. The
-// classic FrameMagic format remains valid (and is what the Batcher emits
-// with delta disabled), so the two formats can be compared like for
-// like; IsFrame accepts both.
-const DeltaFrameMagic = 0xB8
 
 // EpochPrefixUvarints is the number of uvarints core.Member prefixes to
 // every data wire (the view sequence number and the membership digest).
@@ -131,9 +128,6 @@ func commonSuffixLen(a, b []byte) int {
 	}
 	return i
 }
-
-// IsDeltaFrame reports whether data begins a delta-compressed frame.
-func IsDeltaFrame(data []byte) bool { return len(data) > 0 && data[0] == DeltaFrameMagic }
 
 // subMeta is a parsed compressed-wire header, kept by value so the delta
 // coder can re-encode a sub canonically (or compute the next delta base)
@@ -258,7 +252,8 @@ func appendDeltaSub(buf []byte, wire []byte, cur, base subMeta, nPrefix int, pre
 
 // FrameWalker unpacks batched frames — classic and delta — into their
 // sub-packets. It is single-goroutine, like the substrate that owns it,
-// and carries the delta base plus a reconstruction buffer across subs.
+// and keeps, per receive link, the mirror of the sender's delta chain
+// (see WalkLink in xframe.go) plus a reconstruction buffer.
 //
 // prefixUvarints must match what the senders' Batchers were configured
 // with (EpochPrefixUvarints for core.Member traffic, 0 for bare wires).
@@ -270,16 +265,17 @@ func appendDeltaSub(buf []byte, wire []byte, cur, base subMeta, nPrefix int, pre
 // application (the frame buffer is a per-transmit copy there, so classic
 // subs already had that lifetime). Without it the walker reuses one
 // scratch buffer and a reconstructed sub is only valid until the next
-// Walk call — the zero-allocation choice for harnesses whose consumers
-// copy whatever they keep (the bench pumps already recycle delivered
-// buffers under that contract).
+// WalkLink call — the zero-allocation choice for harnesses whose
+// consumers copy whatever they keep (the bench pumps already recycle
+// delivered buffers under that contract). Either way the link mirrors
+// copy the trailing sub into storage of their own.
 type FrameWalker struct {
 	nPrefix int
 	stable  bool
+	// base is the running field-delta base of the walk in progress.
 	base    subMeta
 	scratch []byte
-	// links holds the per-(from, to, cast) cross-frame mirrors WalkLink
-	// maintains (see xframe.go); plain Walk never touches them.
+	// links holds the per-(from, to, cast) cross-frame mirrors.
 	links map[linkKey]*linkMirror
 }
 
@@ -289,38 +285,6 @@ func NewFrameWalker(prefixUvarints int, stableSubs bool) *FrameWalker {
 		panic("transport: prefixUvarints out of range")
 	}
 	return &FrameWalker{nPrefix: prefixUvarints, stable: stableSubs}
-}
-
-// Walk fans data out into its sub-packets, calling fn once per sub in
-// order, and returns the number of subs surfaced. Non-frames surface
-// whole; classic frames behave exactly like WalkFrame; delta frames
-// additionally reconstruct delta subs (see FrameWalker for lifetimes).
-// Cross-frame (0xB9) frames decode statelessly — a link-blind caller
-// can always decode a frame whose first sub rides full, and one that
-// needed the cross-frame base lands in garbage accounting; WalkLink is
-// the mirror-keeping entry point. Malformed framing — truncated fields,
-// a delta sub with no base, flag bytes with unknown bits, overrunning
-// lengths, an overflowing seqno delta — surfaces the remaining bytes
-// (from the offending sub's flag byte on) as one final garbage sub, so
-// the sender's byte count is always accounted for downstream
-// (stray-packet accounting), and never panics.
-func (w *FrameWalker) Walk(data []byte, fn func(sub []byte)) int {
-	if IsXFrame(data) {
-		_, _, _, off, ok := parseXHeader(data)
-		if !ok {
-			fn(data)
-			return 1
-		}
-		w.base = subMeta{}
-		subs, _, _ := w.walkSubs(data, off, nil, fn)
-		return subs
-	}
-	if !IsDeltaFrame(data) {
-		return WalkFrame(data, fn)
-	}
-	w.base = subMeta{}
-	subs, _, _ := w.walkSubs(data, 1, nil, fn)
-	return subs
 }
 
 // walkSubs decodes the delta sub grammar from data[off:]. The caller

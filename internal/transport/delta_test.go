@@ -20,41 +20,51 @@ func cwire(prefix []uint64, id uint16, sender uint64, seq int64, rest ...byte) [
 	return append(w, rest...)
 }
 
-// collectWalk runs a FrameWalker and returns copies of the surfaced
-// subs (copying during fn is the inline-consumption contract, so this
-// is correct in both lifetime modes).
+// collectWalk runs a FrameWalker over the link 0 -> 1 and returns
+// copies of the surfaced subs (copying during fn is the inline-
+// consumption contract, so this is correct in both lifetime modes).
 func collectWalk(t *testing.T, w *FrameWalker, data []byte) [][]byte {
 	t.Helper()
-	var subs [][]byte
-	n := w.Walk(data, func(sub []byte) {
-		subs = append(subs, append([]byte(nil), sub...))
-	})
-	if n != len(subs) {
-		t.Fatalf("Walk returned %d, surfaced %d subs", n, len(subs))
-	}
+	subs, _ := collectWalkResult(t, w, data)
 	return subs
 }
 
-// deltaFrameOf runs wires through a delta Batcher and returns the one
-// frame it produces (all wires must fit one cast frame).
-func deltaFrameOf(t *testing.T, nPrefix int, wires ...[]byte) []byte {
+// collectWalkResult is collectWalk that also returns the WalkResult.
+func collectWalkResult(t *testing.T, w *FrameWalker, data []byte) ([][]byte, WalkResult) {
 	t.Helper()
-	frame, n := mustDeltaFrame(nPrefix, wires...)
-	if n != 1 {
-		t.Fatalf("wires spread over %d frames, want 1", n)
+	var subs [][]byte
+	res := w.WalkLink(0, 1, data, func(sub []byte) {
+		subs = append(subs, append([]byte(nil), sub...))
+	})
+	if res.Subs != len(subs) {
+		t.Fatalf("WalkLink counted %d subs, surfaced %d", res.Subs, len(subs))
 	}
-	return frame
+	return subs, res
 }
 
-func mustDeltaFrame(nPrefix int, wires ...[]byte) ([]byte, int) {
+// xhdr is a hand-built delta frame header on the cast chain.
+func xhdr(gen, seq uint64) []byte {
+	h := []byte{XFrameMagic, xflagCast}
+	h = binary.AppendUvarint(h, gen)
+	return binary.AppendUvarint(h, seq)
+}
+
+// deltaFrameOf runs wires through a delta Batcher and returns the one
+// frame it produces (all wires must fit one cast frame). It is the
+// chain's first frame, so an anchor: its first sub rides full.
+func deltaFrameOf(t *testing.T, nPrefix int, wires ...[]byte) []byte {
+	t.Helper()
 	sink := &frameSink{}
 	b := NewBatcher(sink, 0, 0)
-	b.EnableDelta(nPrefix)
+	b.EnableCrossFrame(nPrefix)
 	for _, w := range wires {
 		b.Cast(w)
 	}
 	b.Flush()
-	return sink.calls[0].data, len(sink.calls)
+	if len(sink.calls) != 1 {
+		t.Fatalf("wires spread over %d frames, want 1", len(sink.calls))
+	}
+	return sink.calls[0].data
 }
 
 func TestDeltaRoundTripMixedWires(t *testing.T) {
@@ -72,8 +82,8 @@ func TestDeltaRoundTripMixedWires(t *testing.T) {
 		{}, // empty wire: full sub
 	}
 	frame := deltaFrameOf(t, 2, wires...)
-	if !IsDeltaFrame(frame) || !IsFrame(frame) {
-		t.Fatalf("frame magic = %#x, want DeltaFrameMagic", frame[0])
+	if !IsXFrame(frame) || !IsFrame(frame) {
+		t.Fatalf("frame magic = %#x, want XFrameMagic", frame[0])
 	}
 	for _, mode := range []bool{true, false} {
 		got := collectWalk(t, NewFrameWalker(2, mode), frame)
@@ -124,7 +134,7 @@ func TestDeltaSavesBytes(t *testing.T) {
 func TestDeltaStatsCountDeltaSubs(t *testing.T) {
 	sink := &frameSink{}
 	b := NewBatcher(sink, 0, 0)
-	b.EnableDelta(0)
+	b.EnableCrossFrame(0)
 	b.Cast(cwire(nil, 1, 0, 10))
 	b.Cast(cwire(nil, 1, 0, 11))
 	b.Cast(cwire(nil, 1, 0, 12))
@@ -147,7 +157,7 @@ func TestDeltaSeqnoOverflowFallsBackToFull(t *testing.T) {
 	}
 	sink := &frameSink{}
 	b := NewBatcher(sink, 0, 0)
-	b.EnableDelta(0)
+	b.EnableCrossFrame(0)
 	for _, w := range wires {
 		b.Cast(w)
 	}
@@ -167,14 +177,24 @@ func TestDeltaSeqnoOverflowFallsBackToFull(t *testing.T) {
 }
 
 func TestWalkDeltaFirstInFrameIsGarbage(t *testing.T) {
-	// A delta sub with no predecessor is illegal: the tail surfaces as
-	// one garbage sub (stray accounting downstream), no panic.
-	frame := []byte{DeltaFrameMagic, subIsDelta}
+	// A delta sub with no field base is illegal. On a cold link the
+	// base may still be in flight, so the frame parks, surfacing nothing
+	// yet; in continuity with a frame whose last sub was opaque (no
+	// field base) the tail surfaces as one garbage sub (stray accounting
+	// downstream) and the chain asks for a restart. No panic either way.
+	frame := xhdr(1, 2)
+	off := len(frame)
+	frame = append(frame, subIsDelta)
 	frame = binary.AppendVarint(frame, 1)
 	frame = binary.AppendUvarint(frame, 0)
-	got := collectWalk(t, NewFrameWalker(2, true), frame)
-	if len(got) != 1 || !bytes.Equal(got[0], frame[1:]) {
-		t.Fatalf("delta-first should surface tail as garbage, got %q", got)
+	if got, res := collectWalkResult(t, NewFrameWalker(2, true), frame); len(got) != 0 || !res.Stashed {
+		t.Fatalf("delta-first on a cold link should park, got %q, %+v", got, res)
+	}
+	w := NewFrameWalker(2, true)
+	collectWalk(t, w, deltaFrameOf(t, 2, []byte("opaque")))
+	got, res := collectWalkResult(t, w, frame)
+	if len(got) != 1 || !bytes.Equal(got[0], frame[off:]) || !res.GenMiss {
+		t.Fatalf("delta-first should surface tail as garbage, got %q, %+v", got, res)
 	}
 }
 
@@ -213,7 +233,7 @@ func TestPrefixDeltaRoundTripOpaqueWires(t *testing.T) {
 	}
 	sink := &frameSink{}
 	b := NewBatcher(sink, 0, 0)
-	b.EnableDelta(0)
+	b.EnableCrossFrame(0)
 	for _, w := range wires {
 		b.Cast(w)
 	}
@@ -254,19 +274,26 @@ func TestPrefixDeltaIdenticalWire(t *testing.T) {
 	if len(got) != 2 || !bytes.Equal(got[0], w) || !bytes.Equal(got[1], w) {
 		t.Fatalf("subs = %q", got)
 	}
-	// full sub (1+1+20) + prefix sub (1+1+1) + magic
-	if want := 1 + (2 + len(w)) + 3; len(frame) != want {
+	// header (magic, flags, gen, seq) + full sub (1+1+20) + prefix sub
+	// (1+1+1)
+	if want := 4 + (2 + len(w)) + 3; len(frame) != want {
 		t.Fatalf("frame is %dB, want %d", len(frame), want)
 	}
 }
 
 func TestWalkPrefixFirstInFrameIsGarbage(t *testing.T) {
-	frame := []byte{DeltaFrameMagic, subPrefix}
+	// A prefix sub with no previous sub: in continuity with a frame whose
+	// last sub was empty there are no bytes to share.
+	frame := xhdr(1, 2)
+	off := len(frame)
+	frame = append(frame, subPrefix)
 	frame = binary.AppendUvarint(frame, 4)
 	frame = binary.AppendUvarint(frame, 0)
-	got := collectWalk(t, NewFrameWalker(0, true), frame)
-	if len(got) != 1 || !bytes.Equal(got[0], frame[1:]) {
-		t.Fatalf("prefix-first should surface tail as garbage, got %x", got)
+	w := NewFrameWalker(0, true)
+	collectWalk(t, w, deltaFrameOf(t, 0, []byte{}))
+	got, res := collectWalkResult(t, w, frame)
+	if len(got) != 1 || !bytes.Equal(got[0], frame[off:]) || !res.GenMiss {
+		t.Fatalf("prefix-first should surface tail as garbage, got %x, %+v", got, res)
 	}
 }
 
@@ -332,7 +359,7 @@ func TestWalkDeltaTruncationsNeverPanic(t *testing.T) {
 	w := NewFrameWalker(2, true)
 	for cut := 1; cut <= len(frame); cut++ {
 		total := 0
-		w.Walk(frame[:cut], func(sub []byte) { total += len(sub) })
+		w.WalkLink(0, 1, frame[:cut], func(sub []byte) { total += len(sub) })
 		// All bytes after the magic are accounted for across the subs
 		// except framing overhead (flags, length prefixes, elided
 		// fields); the invariant we can hold everywhere is simply "no
@@ -357,11 +384,11 @@ func TestFrameWalkerHandlesClassicAndRaw(t *testing.T) {
 	if got := collectWalk(t, w, raw); len(got) != 1 || !bytes.Equal(got[0], raw) {
 		t.Fatalf("raw packet should surface whole: %q", got)
 	}
-	// WalkFrame itself never understood delta frames; handing it one is
+	// walkFrame itself never understood delta frames; handing it one is
 	// the non-frame path (whole-buffer surface), not a misparse.
 	delta := deltaFrameOf(t, 0, cwire(nil, 1, 0, 1))
 	if got := collectFrame(t, delta); len(got) != 1 || !bytes.Equal(got[0], delta) {
-		t.Fatalf("WalkFrame should treat a delta frame as opaque: %x", got)
+		t.Fatalf("walkFrame should treat a delta frame as opaque: %x", got)
 	}
 }
 
@@ -375,9 +402,9 @@ func TestFrameWalkerStableSubsOutliveWalk(t *testing.T) {
 	frame := deltaFrameOf(t, 2, wires...)
 	w := NewFrameWalker(2, true)
 	var subs [][]byte
-	w.Walk(frame, func(sub []byte) { subs = append(subs, sub) }) // retained, not copied
+	w.WalkLink(0, 1, frame, func(sub []byte) { subs = append(subs, sub) }) // retained, not copied
 	// A second walk must not scribble over the retained subs.
-	w.Walk(frame, func([]byte) {})
+	w.WalkLink(0, 1, frame, func([]byte) {})
 	for i := range wires {
 		if !bytes.Equal(subs[i], wires[i]) {
 			t.Fatalf("retained sub %d corrupted by later walk: %x", i, subs[i])
@@ -388,7 +415,7 @@ func TestFrameWalkerStableSubsOutliveWalk(t *testing.T) {
 func TestDeltaBatcherRecyclesBuffers(t *testing.T) {
 	sink := &discardSink{}
 	b := NewBatcher(sink, 0, 0)
-	b.EnableDelta(2)
+	b.EnableCrossFrame(2)
 	prefix := []uint64{1, 77}
 	wa := cwire(prefix, 3, 0, 100, 0xAA, 0xBB, 0xCC, 0xDD)
 	wb := cwire(prefix, 3, 0, 101, 0xEE, 0xFF, 0x11, 0x22)
@@ -408,17 +435,29 @@ func TestDeltaBatcherRecyclesBuffers(t *testing.T) {
 }
 
 func TestDeltaWalkerScratchModeNoAllocs(t *testing.T) {
+	// A chain of frames, each extending the link mirror: the steady-state
+	// decode (scratch reconstruction, mirror advance) allocates nothing.
 	prefix := []uint64{1, 77}
-	var wires [][]byte
-	for i := 0; i < 8; i++ {
-		wires = append(wires, cwire(prefix, 3, 0, int64(100+i), 0xAA, 0xBB))
+	sink := &frameSink{}
+	b := NewBatcher(sink, 0, 0)
+	b.EnableCrossFrame(2)
+	for f := 0; f < 110; f++ {
+		for i := 0; i < 8; i++ {
+			b.Cast(cwire(prefix, 3, 0, int64(100+8*f+i), 0xAA, 0xBB))
+		}
+		b.Flush()
 	}
-	frame := deltaFrameOf(t, 2, wires...)
 	w := NewFrameWalker(2, false)
-	w.Walk(frame, func([]byte) {}) // grow the scratch once
+	next := 0
+	walk := func(fn func([]byte)) {
+		w.WalkLink(0, 1, sink.calls[next].data, fn)
+		next++
+	}
+	walk(func([]byte) {}) // grow the scratch and the mirror once
+	walk(func([]byte) {})
 	n := 0
 	fn := func([]byte) { n++ }
-	allocs := testing.AllocsPerRun(100, func() { w.Walk(frame, fn) })
+	allocs := testing.AllocsPerRun(100, func() { walk(fn) })
 	if allocs > 0 {
 		t.Fatalf("scratch-mode walk allocates %.1f/op, want 0", allocs)
 	}
@@ -431,49 +470,44 @@ func TestEnableDeltaFlushesPendingClassicFrames(t *testing.T) {
 	sink := &frameSink{}
 	b := NewBatcher(sink, 0, 0)
 	b.Cast([]byte("classic"))
-	b.EnableDelta(0)
+	b.EnableCrossFrame(0)
 	if len(sink.calls) != 1 || sink.calls[0].data[0] != FrameMagic {
-		t.Fatalf("EnableDelta must flush pending classic frames first: %+v", sink.calls)
+		t.Fatalf("EnableCrossFrame must flush pending classic frames first: %+v", sink.calls)
 	}
 	b.Cast([]byte("new"))
 	b.DisableDelta()
-	if len(sink.calls) != 2 || sink.calls[1].data[0] != DeltaFrameMagic {
+	if len(sink.calls) != 2 || sink.calls[1].data[0] != XFrameMagic {
 		t.Fatalf("DisableDelta must flush pending delta frames first: %+v", sink.calls)
 	}
-	if b.DeltaEnabled() {
-		t.Fatal("DeltaEnabled still true after DisableDelta")
+	b.Cast([]byte("classic again"))
+	b.Flush()
+	if len(sink.calls) != 3 || sink.calls[2].data[0] != FrameMagic {
+		t.Fatalf("DisableDelta must restore the classic format: %+v", sink.calls)
 	}
 }
 
+// FuzzFrameWalker feeds malformed sub grammar and classic frames to the
+// walker, each against a cold and a seeded mirror.
 func FuzzFrameWalker(f *testing.F) {
 	prefix := []uint64{7, 0xDEAD}
-	f.Add([]byte{DeltaFrameMagic, subIsDelta, 0x02, 0x00})
-	seed, _ := mustDeltaFrame(2, cwire(prefix, 1, 0, 5, 0x01), cwire(prefix, 1, 0, 6))
-	f.Add(seed)
+	hdr := []byte{XFrameMagic, xflagCast, 0x01, 0x02}
+	f.Add(append(hdr[:4:4], subIsDelta, 0x02, 0x00))
+	f.Add(xframeOf(true, 2, cwire(prefix, 1, 0, 5, 0x01), cwire(prefix, 1, 0, 6)))
 	f.Add(frameOf([]byte("a"), []byte("bb")))
-	f.Add([]byte{DeltaFrameMagic, 0x00, 0x05, 'h', 'i'})
-	f.Add([]byte{DeltaFrameMagic, 0xFF, 0x80, 0x80})
-	prefixSeed, _ := mustDeltaFrame(0, []byte("opaque-one"), []byte("opaque-two"))
-	f.Add(prefixSeed)
-	f.Add([]byte{DeltaFrameMagic, subPrefix, 0x04, 0x00})
+	f.Add(append(hdr[:4:4], subFull, 0x05, 'h', 'i'))
+	f.Add(append(hdr[:4:4], 0xFF, 0x80, 0x80))
+	f.Add(xframeOf(true, 0, []byte("opaque-one"), []byte("opaque-two")))
+	f.Add(append(hdr[:4:4], subPrefix, 0x04, 0x00))
 	f.Add([]byte{XFrameMagic, 0x00, 0x01, 0x01, subIsDelta, 0x02, 0x00})
 	f.Add([]byte{XFrameMagic, 0x01, 0x03, 0x02, subFull, 0x01, 0xAB})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, nPrefix := range []int{0, 2} {
-			for _, stable := range []bool{true, false} {
-				w := NewFrameWalker(nPrefix, stable)
-				n := w.Walk(data, func([]byte) {})
-				if len(data) > 0 && n == 0 && data[0] != FrameMagic && data[0] != DeltaFrameMagic && data[0] != XFrameMagic {
-					t.Fatalf("non-frame surfaced no subs")
-				}
-				w.Walk(data, func([]byte) {}) // walker state survives reuse
-			}
-		}
+		walkLinkChecked(t, data, false)
+		walkLinkChecked(t, data, true)
 	})
 }
 
-// FuzzDeltaRoundTrip drives arbitrary field values through encode and
-// decode: whatever the batcher emits, the walker must reproduce the
+// FuzzDeltaRoundTrip drives arbitrary field values through one cast
+// frame: whatever the batcher emits, the walker must reproduce the
 // original wires byte for byte.
 func FuzzDeltaRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint16(3), uint64(4), int64(5), int64(6), []byte{0xAA})
@@ -493,8 +527,8 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 			append([]byte{0x01}, rest...),
 		}
 		sink := &frameSink{}
-		b := NewBatcher(sink, 0, 1<<20)
-		b.EnableDelta(2)
+		b := NewBatcher(sink, 1, 1<<20)
+		b.EnableCrossFrame(2)
 		for _, w := range wires {
 			b.Cast(w)
 		}
@@ -503,16 +537,12 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 			t.Fatalf("expected one frame, got %d", len(sink.calls))
 		}
 		var got [][]byte
-		NewFrameWalker(2, true).Walk(sink.calls[0].data, func(sub []byte) {
+		res := NewFrameWalker(2, true).WalkLink(1, 2, sink.calls[0].data, func(sub []byte) {
 			got = append(got, append([]byte(nil), sub...))
 		})
-		if len(got) != len(wires) {
-			t.Fatalf("got %d subs, want %d", len(got), len(wires))
+		if res.GenMiss || res.StaleGen {
+			t.Fatalf("lossless chain reported %+v", res)
 		}
-		for i := range wires {
-			if !bytes.Equal(got[i], wires[i]) {
-				t.Fatalf("sub %d = %x, want %x", i, got[i], wires[i])
-			}
-		}
+		wantSubs(t, got, wires)
 	})
 }

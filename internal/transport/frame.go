@@ -9,8 +9,8 @@ package transport
 // sub-packets sharing one buffer — and the network sees a single
 // transmit per destination per flush window.
 //
-// Classic frame wire format (EnableDelta selects the delta-compressed
-// variant — see delta.go):
+// Classic frame wire format (EnableCrossFrame selects the delta frame
+// format instead — header in xframe.go, sub grammar in delta.go):
 //
 //	magic     byte = FrameMagic
 //	subs      repeated { uvarint length, length bytes }
@@ -40,24 +40,22 @@ const FrameMagic = 0xB7
 // rather than grown past roughly one MTU's worth of sub-packets.
 const DefaultFrameBytes = 1400
 
-// IsFrame reports whether data begins a batched frame — classic,
-// delta-compressed (delta.go), or cross-frame (xframe.go). Pair it with
-// FrameWalker.Walk (or WalkLink, which activates cross-frame state);
-// WalkFrame below decodes only the classic format.
+// IsFrame reports whether data begins a batched frame — classic or delta
+// (xframe.go). Pair it with FrameWalker.WalkLink, which decodes both;
+// walkFrame below decodes only the classic format.
 func IsFrame(data []byte) bool {
-	return len(data) > 0 && (data[0] == FrameMagic || data[0] == DeltaFrameMagic || data[0] == XFrameMagic)
+	return len(data) > 0 && (data[0] == FrameMagic || data[0] == XFrameMagic)
 }
 
-// WalkFrame fans a batched frame out into its sub-packets, calling fn
+// walkFrame fans a batched frame out into its sub-packets, calling fn
 // once per sub-packet in order, and returns the number of sub-packets
 // surfaced. Malformed framing is never dropped silently: a truncated
 // length prefix or a declared length overrunning the buffer surfaces
 // the remaining bytes as one final (garbage) sub-packet, and a
 // zero-length sub-packet surfaces as an empty one — downstream decoders
 // count both as stray packets, exactly as they would a malformed raw
-// packet. Calling WalkFrame on a non-frame is a programming error and
-// surfaces the whole buffer as one sub-packet.
-func WalkFrame(data []byte, fn func(sub []byte)) int {
+// packet. A non-frame surfaces whole, as one sub-packet.
+func walkFrame(data []byte, fn func(sub []byte)) int {
 	if len(data) == 0 || data[0] != FrameMagic {
 		fn(data)
 		return 1
@@ -132,7 +130,7 @@ type BatcherStats struct {
 	// cause; the remainder (Flushes minus the three) were explicit.
 	SizeFlushes, EntryEndFlushes, BarrierFlushes int64
 	// DeltaSubs counts wires that went out field-delta-encoded against
-	// their in-frame predecessor (always 0 with delta disabled).
+	// their predecessor (always 0 with delta disabled).
 	DeltaSubs int64
 	// PrefixSubs counts wires that went out as shared-prefix subs — the
 	// shape-agnostic fallback for wires the field delta cannot parse
@@ -141,10 +139,11 @@ type BatcherStats struct {
 	// FrameBytes counts frame bytes handed to the sink — the batcher's
 	// own bytes-on-wire figure, for substrates that do not keep one.
 	FrameBytes int64
-	// XFrames counts cross-frame (generation-tagged) frames created;
+	// XFrames counts delta (generation-tagged 0xB9) frames created;
 	// XFirstFull and XFirstDelta split them by whether the first sub rode
 	// full or encoded against the previous frame's last sub — the figure
-	// that says how often the cross-frame base actually paid off.
+	// that says how often the cross-frame base actually paid off
+	// (XFirstDelta is 0 with chaining off: every frame is an anchor).
 	XFrames, XFirstFull, XFirstDelta int64
 	// GenBumps counts local generation bumps (view installs, peer
 	// rebinds); ResyncBumps counts bumps forced by a peer's resync packet
@@ -186,8 +185,8 @@ type batchFrame struct {
 	// next append. Tail-only append makes this well defined: only the
 	// newest frame ever grows, so one base per frame is the whole state.
 	base subMeta
-	// st is the destination chain's state (set when cross-frame or
-	// adaptive flush is on) and born the frame's creation time (adaptive
+	// st is the destination chain's state (set when delta or adaptive
+	// flush is on) and born the frame's creation time (adaptive
 	// flush only) — cached here so flush decisions skip the map.
 	st   *peerState
 	born int64
@@ -207,16 +206,15 @@ type Batcher struct {
 	from      event.Addr
 	maxBytes  int
 	immediate bool
-	// delta selects the delta-compressed frame format (magic
-	// DeltaFrameMagic): compressed wire images are encoded against their
-	// in-frame predecessor, everything else rides as full subs. nPrefix
-	// is the epoch prefix length the sub parser expects (see delta.go).
+	// delta selects the delta frame format (magic XFrameMagic): frames
+	// carry generation-tagged headers and each sub is encoded against its
+	// predecessor (delta.go, xframe.go). nPrefix is the epoch prefix
+	// length the sub parser expects. chain lets a frame's first sub
+	// encode against the previous frame's last sub to the same
+	// destination; with it off every frame is an anchor.
 	delta   bool
 	nPrefix int
-	// xframe selects the cross-frame format (magic XFrameMagic, implies
-	// delta): frames carry generation-tagged headers and chain their
-	// delta state across frame boundaries per destination (xframe.go).
-	xframe bool
+	chain   bool
 	// peers holds the per-chain generation/shadow/cadence state, keyed by
 	// destination (one shared entry for the cast chain).
 	peers map[xKey]*peerState
@@ -257,43 +255,26 @@ func (b *Batcher) SetImmediate(on bool) {
 	b.immediate = on
 }
 
-// EnableDelta switches the batcher to the delta-compressed frame format
-// (see delta.go): sub-packet headers are elided or delta-encoded against
-// the previous sub in the frame. prefixUvarints is the number of epoch
-// uvarints prefixed to every wire (EpochPrefixUvarints for core.Member
-// traffic, 0 for bare wires); receivers must walk frames with a
-// FrameWalker built with the same value. Pending frames are flushed
-// first, so a frame is never half one format.
-func (b *Batcher) EnableDelta(prefixUvarints int) {
-	if prefixUvarints < 0 || prefixUvarints > maxPrefix {
-		panic("transport: prefixUvarints out of range")
-	}
-	b.Flush()
-	b.delta = true
-	b.nPrefix = prefixUvarints
-}
-
 // DisableDelta restores the classic frame format — the ablation knob for
-// measuring what delta compression buys. Cross-frame encoding rides on
-// delta, so it is disabled too.
+// measuring what delta compression buys. Pending frames are flushed
+// first, so a frame is never half one format; per-chain generation state
+// is kept, so re-enabling resumes where the chains left off.
 func (b *Batcher) DisableDelta() {
 	b.Flush()
 	b.delta = false
-	b.xframe = false
 }
 
-// DisableCrossFrame drops back from the cross-frame format to plain
-// intra-frame delta — the ablation knob that isolates what chaining the
-// delta state across frame boundaries buys on top of 0xB8. Pending
-// frames are flushed first; per-chain generation state is kept, so
-// re-enabling resumes where the chains left off.
+// DisableCrossFrame turns chaining off while keeping the delta frame
+// format: frames still carry 0xB9 headers, but no first sub ever encodes
+// against the previous frame, so every frame is an anchor — the ablation
+// knob that isolates what chaining the delta state across frame
+// boundaries buys. Pending frames are flushed first. The chain shadows
+// keep tracking the last sub sent (the receiver's mirror still advances
+// on every frame), so re-enabling chaining resumes consistently.
 func (b *Batcher) DisableCrossFrame() {
 	b.Flush()
-	b.xframe = false
+	b.chain = false
 }
-
-// DeltaEnabled reports whether the delta frame format is selected.
-func (b *Batcher) DeltaEnabled() bool { return b.delta }
 
 // Stats returns a snapshot of the batching counters.
 func (b *Batcher) Stats() BatcherStats { return b.stats }
@@ -349,24 +330,14 @@ func (b *Batcher) append(cast bool, to event.Addr, wire []byte) {
 // following delta sub can never refer past an opaque one) and the next
 // prefix base.
 func (b *Batcher) appendDelta(f *batchFrame, wire []byte) {
-	// In a cross-frame frame the first sub may encode against the
-	// previous frame's last sub (the seeded base/prev): count how often
-	// that pays off versus riding full.
-	first := b.xframe && f.subs == 0
 	cur := parseSub(wire, b.nPrefix)
+	encoded := false
 	if cur.ok && f.base.ok {
-		if buf, ok := appendDeltaSub(f.buf, wire, cur, f.base, b.nPrefix, b.prev); ok {
-			f.buf = buf
-			f.base = cur
-			b.stats.DeltaSubs++
-			if first {
-				b.stats.XFirstDelta++
-			}
-			b.prev = append(b.prev[:0], wire...)
-			return
-		}
+		f.buf, encoded = appendDeltaSub(f.buf, wire, cur, f.base, b.nPrefix, b.prev)
 	}
-	if n := commonPrefixLen(b.prev, wire); n >= minPrefixLen {
+	if encoded {
+		b.stats.DeltaSubs++
+	} else if n := commonPrefixLen(b.prev, wire); n >= minPrefixLen {
 		s := commonSuffixLen(wire[n:], b.prev[n:])
 		if s < minSuffixLen {
 			s = 0
@@ -383,22 +354,25 @@ func (b *Batcher) appendDelta(f *batchFrame, wire []byte) {
 			f.buf = binary.AppendUvarint(f.buf, uint64(len(wire)-n))
 			f.buf = append(f.buf, wire[n:]...)
 		}
-		f.base = cur
 		b.stats.PrefixSubs++
-		if first {
-			b.stats.XFirstDelta++
-		}
-		b.prev = append(b.prev[:0], wire...)
-		return
+		encoded = true
+	} else {
+		f.buf = append(f.buf, subFull)
+		f.buf = binary.AppendUvarint(f.buf, uint64(len(wire)))
+		f.buf = append(f.buf, wire...)
 	}
-	f.buf = append(f.buf, subFull)
-	f.buf = binary.AppendUvarint(f.buf, uint64(len(wire)))
-	f.buf = append(f.buf, wire...)
 	f.base = cur
-	if first {
-		b.stats.XFirstFull++
-	}
 	b.prev = append(b.prev[:0], wire...)
+	if f.subs == 0 {
+		// The first sub may encode against the previous frame's last sub
+		// (the seeded base/prev): count how often that pays off versus
+		// riding full.
+		if encoded {
+			b.stats.XFirstDelta++
+		} else {
+			b.stats.XFirstFull++
+		}
+	}
 }
 
 // tail returns the frame to append into: the newest frame when it has
@@ -421,12 +395,12 @@ func (b *Batcher) tail(cast bool, to event.Addr, need int) *batchFrame {
 		b.free = b.free[:n-1]
 	}
 	var st *peerState
-	if b.xframe || b.adaptive {
+	if b.delta || b.adaptive {
 		st = b.peer(cast, to)
 	}
 	b.prev = b.prev[:0] // a fresh frame has no in-frame predecessor...
 	var base subMeta
-	if b.xframe {
+	if b.delta {
 		st.frameSeq++
 		flag := byte(0)
 		if cast {
@@ -435,7 +409,7 @@ func (b *Batcher) tail(cast bool, to event.Addr, need int) *batchFrame {
 		buf = append(buf[:0], XFrameMagic, flag)
 		buf = binary.AppendUvarint(buf, st.gen)
 		buf = binary.AppendUvarint(buf, st.frameSeq)
-		if st.hasShadow && st.sinceFull < xAnchorEvery {
+		if b.chain && st.hasShadow && st.sinceFull < xAnchorEvery {
 			// ...unless the chain's shadow carries one across the frame
 			// boundary: the receiver's mirror holds the same bytes. Every
 			// xAnchorEvery-th frame forgoes the shadow and rides a full
@@ -451,11 +425,7 @@ func (b *Batcher) tail(cast bool, to event.Addr, need int) *batchFrame {
 		}
 		b.stats.XFrames++
 	} else {
-		magic := byte(FrameMagic)
-		if b.delta {
-			magic = DeltaFrameMagic
-		}
-		buf = append(buf[:0], magic)
+		buf = append(buf[:0], FrameMagic)
 	}
 	var born int64
 	if b.adaptive {

@@ -8,15 +8,15 @@ import (
 	"ensemble/internal/event"
 )
 
-// collectFrame runs WalkFrame and returns copies of the surfaced subs.
+// collectFrame runs walkFrame and returns copies of the surfaced subs.
 func collectFrame(t *testing.T, data []byte) [][]byte {
 	t.Helper()
 	var subs [][]byte
-	n := WalkFrame(data, func(sub []byte) {
+	n := walkFrame(data, func(sub []byte) {
 		subs = append(subs, append([]byte(nil), sub...))
 	})
 	if n != len(subs) {
-		t.Fatalf("WalkFrame returned %d, surfaced %d subs", n, len(subs))
+		t.Fatalf("walkFrame returned %d, surfaced %d subs", n, len(subs))
 	}
 	return subs
 }

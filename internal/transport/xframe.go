@@ -1,26 +1,26 @@
 package transport
 
-// Cross-frame delta encoding with generation-tagged per-peer state, plus
-// the adaptive per-destination flush controller — the last rungs of the
-// wire-format ladder (classic 0xB7 frames → intra-frame delta 0xB8 →
-// cross-frame delta 0xB9). Intra-frame delta still transmits every
-// frame's *first* sub full; here the sender keeps a per-destination
-// shadow of the last sub it emitted, stamps every frame with a
-// (generation, frame-sequence) header, and lets the first sub delta
-// against the previous frame's last sub. The receiver keeps the mirror
-// per (from, to, cast) link and only applies the cross-frame base when
-// the header proves continuity: same generation, exactly the next frame
-// sequence.
+// The delta frame format — generation-tagged frames whose delta state
+// chains across frame boundaries per destination — plus the adaptive
+// per-destination flush controller. The wire has two frame formats:
+// classic 0xB7 frames (the ablation baseline, frame.go) and these 0xB9
+// frames. The sender keeps a per-destination shadow of the last sub it
+// emitted, stamps every frame with a (generation, frame-sequence)
+// header, and lets the first sub delta against the previous frame's last
+// sub. The receiver keeps the mirror per (from, to, cast) link and only
+// applies the cross-frame base when the header proves continuity: same
+// generation, exactly the next frame sequence. A frame whose first sub
+// rides full is an anchor: self-contained, decodable with no mirror.
 //
-// Cross-frame wire format:
+// Delta frame wire format:
 //
 //	magic    byte = XFrameMagic
 //	flags    byte (0x01 = cast chain; other bits reserved, must be 0)
 //	gen      uvarint — the sender's generation for this chain
 //	frameSeq uvarint — 1-based frame counter within the generation
-//	subs     the 0xB8 delta sub grammar (see delta.go); the first sub
-//	         may be delta- or prefix-encoded against the cross-frame
-//	         base instead of riding full
+//	subs     the delta sub grammar (see delta.go); the first sub may be
+//	         delta- or prefix-encoded against the cross-frame base
+//	         instead of riding full
 //
 // Safety over loss and reordering is by construction (the communication-
 // closure discipline of "Causing Communication Closure", PAPERS.md): a
@@ -186,19 +186,33 @@ func (b *Batcher) peer(cast bool, to event.Addr) *peerState {
 	return st
 }
 
-// EnableCrossFrame switches the batcher to the cross-frame delta format
-// (magic XFrameMagic): frames carry generation-tagged headers and the
-// first sub of a frame may delta against the last sub of the previous
-// frame to the same destination. Implies EnableDelta; receivers must
-// walk these frames with FrameWalker.WalkLink so the per-link mirror
-// state exists. Pending frames are flushed first.
+// EnableCrossFrame switches the batcher to the delta frame format (magic
+// XFrameMagic) with chaining on: frames carry generation-tagged headers,
+// sub-packet headers are elided or delta-encoded against the previous
+// sub, and the first sub of a frame may delta against the last sub of
+// the previous frame to the same destination. prefixUvarints is the
+// number of epoch uvarints prefixed to every wire (EpochPrefixUvarints
+// for core.Member traffic, 0 for bare wires); receivers must walk frames
+// with FrameWalker.WalkLink on a walker built with the same value.
+// Pending frames are flushed first, so a frame is never half one format.
 func (b *Batcher) EnableCrossFrame(prefixUvarints int) {
-	b.EnableDelta(prefixUvarints)
-	b.xframe = true
+	if prefixUvarints < 0 || prefixUvarints > maxPrefix {
+		panic("transport: prefixUvarints out of range")
+	}
+	b.Flush()
+	b.delta = true
+	b.chain = true
+	b.nPrefix = prefixUvarints
 }
 
-// CrossFrameEnabled reports whether the cross-frame format is selected.
-func (b *Batcher) CrossFrameEnabled() bool { return b.xframe }
+// bump starts a fresh generation on the chain: frame sequence from 1
+// again and no shadow, so the next frame is an anchor any receiver
+// adopts statelessly.
+func (st *peerState) bump() {
+	st.gen++
+	st.frameSeq = 0
+	st.hasShadow = false
+}
 
 // closeTail records the newest frame's trailing delta state into its
 // chain's shadow, making it the cross-frame base for that chain's next
@@ -206,7 +220,7 @@ func (b *Batcher) CrossFrameEnabled() bool { return b.xframe }
 // appendable (a new frame supersedes it, or a flush is about to emit).
 func (b *Batcher) closeTail() {
 	n := len(b.frames)
-	if n == 0 || !b.xframe {
+	if n == 0 || !b.delta {
 		return
 	}
 	f := &b.frames[n-1]
@@ -229,9 +243,7 @@ func (b *Batcher) BumpGenerations() {
 	}
 	b.Flush()
 	for _, st := range b.peers {
-		st.gen++
-		st.frameSeq = 0
-		st.hasShadow = false
+		st.bump()
 	}
 	b.stats.GenBumps++
 }
@@ -249,9 +261,7 @@ func (b *Batcher) BumpPeer(to event.Addr) {
 				b.Flush()
 				bumped = true
 			}
-			st.gen++
-			st.frameSeq = 0
-			st.hasShadow = false
+			st.bump()
 		}
 	}
 	if bumped {
@@ -273,9 +283,7 @@ func (b *Batcher) HandleResync(from event.Addr, cast bool, gen uint64) {
 		return
 	}
 	b.Flush()
-	st.gen++
-	st.frameSeq = 0
-	st.hasShadow = false
+	st.bump()
 	b.stats.ResyncBumps++
 }
 
@@ -422,7 +430,7 @@ type linkMirror struct {
 type WalkResult struct {
 	// Subs is the number of subs surfaced (garbage subs included).
 	Subs int
-	// XFrame reports that the packet carried the cross-frame magic.
+	// XFrame reports that the packet carried the delta frame magic.
 	XFrame bool
 	// Cast and Gen echo the frame header (valid when XFrame and the
 	// header parsed) — what a resync answer must name.
@@ -440,15 +448,22 @@ type WalkResult struct {
 	Stashed bool
 }
 
-// WalkLink is Walk with the receive link identified, which is what
-// activates cross-frame decoding: 0xB9 frames are checked against the
-// (from, to, cast) mirror and extend it on exact continuity; anything
-// else behaves exactly like Walk. Classic and intra-delta frames never
-// touch mirror state, so mixing walkers per packet is safe.
+// WalkLink fans data, received on the link (from, to), out into its
+// sub-packets, calling fn once per sub in order; the result counts them
+// (Subs) and reports what the substrate must answer. Non-frames surface
+// whole and classic frames decode statelessly (see walkFrame). 0xB9
+// frames are checked against the (from, to, cast) mirror and extend it
+// on exact continuity; a self-contained (anchor) frame decodes with no
+// mirror at all. Malformed framing — truncated fields, a delta sub with
+// no base, flag bytes with unknown bits, overrunning lengths, an
+// overflowing seqno delta — surfaces the remaining bytes (from the
+// offending sub's flag byte on) as one final garbage sub, so the
+// sender's byte count is always accounted for downstream (stray-packet
+// accounting), and never panics. See FrameWalker for sub lifetimes.
 func (w *FrameWalker) WalkLink(from, to event.Addr, data []byte, fn func(sub []byte)) WalkResult {
 	var r WalkResult
 	if !IsXFrame(data) {
-		r.Subs = w.Walk(data, fn)
+		r.Subs = walkFrame(data, fn)
 		return r
 	}
 	r.XFrame = true
@@ -465,44 +480,13 @@ func (w *FrameWalker) WalkLink(from, to event.Addr, data []byte, fn func(sub []b
 	m := w.links[key]
 	if m != nil && m.valid && gen == m.cur.gen && seq == m.cur.frameSeq+1 {
 		// Exact continuity: decode against the mirror, then advance it.
-		w.base = m.cur.base
-		subs, last, clean := w.walkSubs(data, off, m.cur.prev, fn)
-		r.Subs = subs
-		if clean {
-			m.cur.frameSeq = seq
-			m.cur.base = w.base
-			if subs > 0 {
-				m.cur.prev = append(m.cur.prev[:0], last...)
-			}
-			w.drainStash(m, &m.cur, &r, fn)
-		} else {
-			// The chain is broken mid-frame; nothing after this frame can
-			// extend the mirror either. Invalidate and ask for a restart.
-			m.valid = false
-			m.old.gen = 0
-			r.GenMiss = true
-		}
+		w.extend(m, &m.cur, data, &r, fn)
 		return r
 	}
 	if m != nil && m.old.gen != 0 && gen == m.old.gen && seq == m.old.frameSeq+1 {
 		// A pre-bump straggler in continuity with the generation the chain
 		// just left: decode it exactly as the pre-bump mirror would have.
-		w.base = m.old.base
-		subs, last, clean := w.walkSubs(data, off, m.old.prev, fn)
-		r.Subs = subs
-		if clean {
-			m.old.frameSeq = seq
-			m.old.base = w.base
-			if subs > 0 {
-				m.old.prev = append(m.old.prev[:0], last...)
-			}
-			w.drainStash(m, &m.old, &r, fn)
-		} else {
-			// The outgoing generation is broken mid-frame; further
-			// stragglers are garbage, but the live chain is untouched.
-			m.old.gen = 0
-			r.StaleGen = true
-		}
+		w.extend(m, &m.old, data, &r, fn)
 		return r
 	}
 	if m != nil && m.valid && gen < m.cur.gen {
@@ -528,13 +512,7 @@ func (w *FrameWalker) WalkLink(from, to event.Addr, data []byte, fn func(sub []b
 			r.StaleGen = true
 			return r
 		}
-		if m == nil {
-			m = &linkMirror{}
-			if w.links == nil {
-				w.links = make(map[linkKey]*linkMirror)
-			}
-			w.links[key] = m
-		}
+		m = w.mirror(key)
 		if gen > m.sgen {
 			// The stash tracks one generation — the newest seen; older
 			// parked frames can never extend a mirror that moved past them.
@@ -569,13 +547,7 @@ func (w *FrameWalker) WalkLink(from, to event.Addr, data []byte, fn func(sub []b
 	// current one): a duplicated old frame must not rewind the mirror
 	// under the in-order successor's feet.
 	if subs > 0 && (m == nil || !m.valid || gen > m.cur.gen || (gen == m.cur.gen && seq > m.cur.frameSeq)) {
-		if m == nil {
-			m = &linkMirror{}
-			if w.links == nil {
-				w.links = make(map[linkKey]*linkMirror)
-			}
-			w.links[key] = m
-		}
+		m = w.mirror(key)
 		if m.valid && gen > m.cur.gen {
 			// The chain moved on; keep the outgoing generation's trailing
 			// state so its in-flight stragglers still decode.
@@ -587,55 +559,76 @@ func (w *FrameWalker) WalkLink(from, to event.Addr, data []byte, fn func(sub []b
 		m.cur.frameSeq = seq
 		m.cur.base = w.base
 		m.cur.prev = append(m.cur.prev[:0], last...)
-		w.drainStash(m, &m.cur, &r, fn)
+		w.extend(m, &m.cur, m.next(&m.cur), &r, fn)
 	}
 	return r
 }
 
-// drainStash surfaces parked successors of generation state g in frame
-// order until the next hole. Entries g moved past are dead: their
+// mirror returns (creating on first use) the mirror for one link.
+func (w *FrameWalker) mirror(key linkKey) *linkMirror {
+	m := w.links[key]
+	if m == nil {
+		m = &linkMirror{}
+		if w.links == nil {
+			w.links = make(map[linkKey]*linkMirror)
+		}
+		w.links[key] = m
+	}
+	return m
+}
+
+// extend decodes the 0xB9 frame data in continuity with generation
+// state g — the mirror's live generation or the one it just left —
+// advances g past it, and goes on with g's parked successors in frame
+// order until the next hole; nil data starts with the stash. A frame
+// that breaks mid-decode ends the run and kills g: nothing after it can
+// extend g either. A broken live
+// generation invalidates the mirror and asks for a restart (GenMiss); a
+// broken outgoing one only turns its later stragglers into garbage
+// (StaleGen) and leaves the live chain untouched.
+func (w *FrameWalker) extend(m *linkMirror, g *genState, data []byte, r *WalkResult, fn func(sub []byte)) {
+	for ; data != nil; data = m.next(g) {
+		_, _, seq, off, _ := parseXHeader(data) // parsed strict on arrival
+		w.base = g.base
+		subs, last, clean := w.walkSubs(data, off, g.prev, fn)
+		r.Subs += subs
+		if !clean {
+			if g == &m.cur {
+				m.valid = false
+				r.GenMiss = true
+			} else {
+				r.StaleGen = true
+			}
+			m.old.gen = 0
+			return
+		}
+		g.frameSeq = seq
+		g.base = w.base
+		if subs > 0 {
+			g.prev = append(g.prev[:0], last...)
+		}
+	}
+}
+
+// next pops the parked successor of generation state g from the reorder
+// stash, or returns nil at a hole. Entries g moved past are dead: their
 // content was either consumed already or skipped by a forward adoption,
 // and the stack's NAK layer recovers whatever the skip dropped.
-func (w *FrameWalker) drainStash(m *linkMirror, g *genState, r *WalkResult, fn func(sub []byte)) {
+func (m *linkMirror) next(g *genState) []byte {
 	if len(m.stash) == 0 || m.sgen != g.gen {
 		if m.sgen < m.cur.gen && m.sgen != m.old.gen {
 			m.stash = nil
 		}
-		return
+		return nil
 	}
 	for s := range m.stash {
 		if s <= g.frameSeq {
 			delete(m.stash, s)
 		}
 	}
-	for {
-		d, ok := m.stash[g.frameSeq+1]
-		if !ok {
-			return
-		}
-		delete(m.stash, g.frameSeq+1)
-		_, _, seq, off, _ := parseXHeader(d) // parsed strict when stashed
-		w.base = g.base
-		subs, last, clean := w.walkSubs(d, off, g.prev, fn)
-		r.Subs += subs
-		if clean {
-			g.frameSeq = seq
-			g.base = w.base
-			if subs > 0 {
-				g.prev = append(g.prev[:0], last...)
-			}
-		} else {
-			if g == &m.cur {
-				m.valid = false
-				m.old.gen = 0
-				r.GenMiss = true
-			} else {
-				m.old.gen = 0
-				r.StaleGen = true
-			}
-			return
-		}
-	}
+	d := m.stash[g.frameSeq+1]
+	delete(m.stash, g.frameSeq+1)
+	return d
 }
 
 // InvalidateFrom drops every mirror fed by one sender address — the

@@ -382,19 +382,20 @@ func TestXFramePlainWalkDecodesStatelessly(t *testing.T) {
 	l.b.Flush()
 	l.b.Send(2, cwire(prefix, 1, 1, 71))
 	l.b.Flush()
-	// Frame 1 is self-contained: plain Walk decodes it. Frame 2's first
-	// sub needs the cross-frame base: one garbage sub, no panic — and no
-	// mirror state was consulted or created.
+	// On a link the walker has no mirror for, frame 1 is self-contained
+	// and decodes statelessly. Frame 2's first sub needs the cross-frame
+	// base of a frame this link never saw: it parks, surfacing nothing,
+	// with no panic and no garbage.
 	blind := NewFrameWalker(2, true)
 	var got [][]byte
-	n := blind.Walk(l.sink.calls[0].data, func(sub []byte) {
+	res := blind.WalkLink(l.from, l.to, l.sink.calls[0].data, func(sub []byte) {
 		got = append(got, append([]byte(nil), sub...))
 	})
-	if n != 1 || !bytes.Equal(got[0], w1) {
-		t.Fatalf("blind walk of full-first frame: %d subs %x", n, got)
+	if res.Subs != 1 || !bytes.Equal(got[0], w1) || res.GenMiss {
+		t.Fatalf("cold walk of full-first frame: %+v %x", res, got)
 	}
-	if n := blind.Walk(l.sink.calls[1].data, func([]byte) {}); n != 1 {
-		t.Fatalf("blind walk of delta-first frame surfaced %d subs, want 1 garbage", n)
+	if res := blind.WalkLink(l.from, 3, l.sink.calls[1].data, func([]byte) {}); res.Subs != 0 || !res.Stashed {
+		t.Fatalf("cold walk of delta-first frame: %+v, want parked", res)
 	}
 }
 
@@ -555,39 +556,57 @@ func TestAdaptiveFlushHoldsOnlySuffix(t *testing.T) {
 	}
 }
 
-func FuzzXFrameWalkLink(f *testing.F) {
-	prefix := []uint64{7, 0xDEAD}
-	mk := func(wires ...[]byte) []byte {
-		sink := &frameSink{}
-		b := NewBatcher(sink, 1, 0)
-		b.EnableCrossFrame(2)
-		for _, w := range wires {
+// xframeOf flushes wires through a fresh cross-frame batcher at
+// address 1 (cast, or point-to-point to 2) and returns the one frame.
+func xframeOf(cast bool, nPrefix int, wires ...[]byte) []byte {
+	sink := &frameSink{}
+	b := NewBatcher(sink, 1, 0)
+	b.EnableCrossFrame(nPrefix)
+	for _, w := range wires {
+		if cast {
+			b.Cast(w)
+		} else {
 			b.Send(2, w)
 		}
-		b.Flush()
-		return sink.calls[0].data
 	}
-	f.Add(mk(cwire(prefix, 1, 0, 5, 0x01), cwire(prefix, 1, 0, 6)), false)
+	b.Flush()
+	return sink.calls[0].data
+}
+
+// walkLinkChecked walks data on link 1->2 of a walker with nPrefix
+// prefix uvarints, optionally after pre-seeding its point-to-point and
+// cast mirrors so the continuity/stale paths run too. Whatever arrived,
+// every input byte must be accounted for: the walker surfaces subs or
+// garbage (or parks a frame that waits on its predecessor), never
+// silently drops a non-frame, and never panics.
+func walkLinkChecked(t *testing.T, data []byte, seeded bool) {
+	prefix := []uint64{7, 0xDEAD}
+	for _, nPrefix := range []int{0, 2} {
+		for _, stable := range []bool{true, false} {
+			w := NewFrameWalker(nPrefix, stable)
+			if seeded {
+				w.WalkLink(1, 2, xframeOf(false, 2, cwire(prefix, 1, 0, 9)), func([]byte) {})
+				w.WalkLink(1, 2, xframeOf(true, 2, cwire(prefix, 1, 0, 9)), func([]byte) {})
+			}
+			res := w.WalkLink(1, 2, data, func([]byte) {})
+			if len(data) > 0 && res.Subs == 0 && data[0] != FrameMagic && data[0] != XFrameMagic {
+				t.Fatalf("non-frame surfaced no subs")
+			}
+			w.WalkLink(1, 2, data, func([]byte) {}) // mirror state survives reuse
+			w.WalkLink(3, 2, data, func([]byte) {}) // a cold link never panics
+		}
+	}
+}
+
+func FuzzXFrameWalkLink(f *testing.F) {
+	prefix := []uint64{7, 0xDEAD}
+	f.Add(xframeOf(false, 2, cwire(prefix, 1, 0, 5, 0x01), cwire(prefix, 1, 0, 6)), false)
 	f.Add([]byte{XFrameMagic, 0x00, 0x01, 0x01, subIsDelta, 0x02, 0x00}, true)
 	f.Add([]byte{XFrameMagic, 0x01, 0xFF, 0x01}, false)
 	f.Add(AppendResync(nil, true, 77), true)
 	f.Add([]byte{XFrameMagic, 0x80}, false)
 	f.Fuzz(func(t *testing.T, data []byte, seeded bool) {
-		for _, stable := range []bool{true, false} {
-			w := NewFrameWalker(2, stable)
-			if seeded {
-				// Pre-seed a mirror so continuity/stale paths run too.
-				seed := mk(cwire(prefix, 1, 0, 9))
-				w.WalkLink(1, 2, seed, func([]byte) {})
-			}
-			surfaced := 0
-			w.WalkLink(1, 2, data, func(sub []byte) { surfaced += len(sub) })
-			// Whatever arrived, every input byte must be accounted for:
-			// the walker surfaces subs or garbage, never silently drops a
-			// whole frame (headers excepted) or panics.
-			w.WalkLink(1, 2, data, func([]byte) {}) // mirror state survives reuse
-			w.Walk(data, func([]byte) {})           // link-blind decode never panics
-		}
+		walkLinkChecked(t, data, seeded)
 	})
 }
 
@@ -606,6 +625,8 @@ func FuzzXFrameRoundTrip(f *testing.F) {
 			cwire(prefix, id, sender, seq1, rest...),
 			cwire(prefix, id, sender, seq2, rest...),
 			cwire(prefix, id+1, sender+1, seq1, rest...),
+			// Opaque pair: exercises the shared-prefix fallback (and the
+			// full fallback when rest is too short to share 4 bytes).
 			append([]byte{0x01}, rest...),
 			append([]byte{0x01}, rest...),
 		}
