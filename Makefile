@@ -1,9 +1,10 @@
 # Ensemble reproduction — common development targets.
 
 GO ?= go
-# BENCH_OUT is where bench-gate records the parsed benchmark trajectory;
-# override it to keep a run without clobbering the checked-in record.
-BENCH_OUT ?= BENCH_PR10.json
+# BENCH_OUT is where bench-gate records the parsed benchmark numbers —
+# a gitignored scratch file by default, so a gate run never rewrites a
+# checked-in BENCH_PR*.json; point it at a new record to keep one.
+BENCH_OUT ?= .bench_gate.json
 
 .PHONY: all build test race verify examples bench bench-throughput bench-gate multiproc flight fuzz pooldebug clean
 
@@ -130,5 +131,5 @@ pooldebug:
 
 clean:
 	$(GO) clean
-	rm -f ensemble.test *.prof *.pprof flight.trace.json .bench_gate_*.out .ensemble-node.bin
+	rm -f ensemble.test *.prof *.pprof flight.trace.json .bench_gate_*.out .bench_gate.json .ensemble-node.bin
 	rm -rf .multiproc-artifacts

@@ -79,41 +79,18 @@ func BenchmarkTable2a_OptimizedStack(b *testing.B) { benchCounters(b, bench.MACH
 // path (§4, item 1: avoiding garbage-collection cycles). allocs/op and
 // B/op cover only the timed region (setup is excluded by ResetTimer);
 // the expectation for the steady state is 0 allocs/op.
-
-func benchThroughput(b *testing.B, cfg bench.Config, names []string, size int) {
+//
+// mode picks the wire path: Batched puts the wire batcher's frame
+// encode and the receiver's walker decode on the measured path
+// (flushing every 8 rounds, so data frames carry ~8 sub-packets) and
+// must stay at 0 allocs/op — the batcher recycles its frame buffers;
+// BatchedDelta runs the same path over the 0xB9 delta frame format
+// (chaining off). observed runs the workload with the obs substrate
+// (metrics registry + flight recorder + wire-size histograms) live on
+// the emit path and asserts it recorded the run.
+func benchThroughput(b *testing.B, cfg bench.Config, names []string, mode bench.BatchMode, observed bool) *bench.ThroughputRunner {
 	b.Helper()
-	benchThroughputRunner(b, cfg, names, size, bench.Immediate)
-}
-
-// The Batched variants put the wire batcher's frame encode and the
-// receiver's walker decode on the measured path (flushing every 8
-// rounds, so data frames carry ~8 sub-packets); the steady state must
-// stay at 0 allocs/op — the batcher recycles its frame buffers. The
-// BatchedDelta variants run the same path over the 0xB9 delta frame
-// format (chaining off), putting the delta encode and the reconstructing
-// decode under the same zero-allocation gate.
-func benchThroughputBatched(b *testing.B, cfg bench.Config, names []string, size int) {
-	b.Helper()
-	benchThroughputRunner(b, cfg, names, size, bench.Batched)
-}
-
-func benchThroughputBatchedDelta(b *testing.B, cfg bench.Config, names []string, size int) {
-	b.Helper()
-	benchThroughputRunner(b, cfg, names, size, bench.BatchedDelta)
-}
-
-func benchThroughputRunner(b *testing.B, cfg bench.Config, names []string, size int, mode bench.BatchMode) {
-	b.Helper()
-	var r *bench.ThroughputRunner
-	var err error
-	switch mode {
-	case bench.Batched:
-		r, err = bench.NewBatchedThroughputRunner(cfg, names, size)
-	case bench.BatchedDelta:
-		r, err = bench.NewBatchedDeltaThroughputRunner(cfg, names, size)
-	default:
-		r, err = bench.NewThroughputRunner(cfg, names, size)
-	}
+	r, err := bench.NewThroughputRunner(cfg, names, 4, mode, observed)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -131,127 +108,90 @@ func benchThroughputRunner(b *testing.B, cfg bench.Config, names []string, size 
 		b.Fatalf("%d rounds but only %d deliveries", b.N, got)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
-	if bs := r.BatchStats(); bs.Frames > 0 {
-		b.ReportMetric(float64(bs.SubPackets)/float64(bs.Frames), "subs/frame")
-	}
-}
-
-func BenchmarkThroughput_10Layer_IMP(b *testing.B) {
-	benchThroughput(b, bench.IMP, layers.Stack10(), 4)
-}
-func BenchmarkThroughput_10Layer_FUNC(b *testing.B) {
-	benchThroughput(b, bench.FUNC, layers.Stack10(), 4)
-}
-func BenchmarkThroughput_10Layer_MACH(b *testing.B) {
-	benchThroughput(b, bench.MACH, layers.Stack10(), 4)
-}
-func BenchmarkThroughput_4Layer_IMP(b *testing.B) {
-	benchThroughput(b, bench.IMP, layers.Stack4(), 4)
-}
-func BenchmarkThroughput_4Layer_FUNC(b *testing.B) {
-	benchThroughput(b, bench.FUNC, layers.Stack4(), 4)
-}
-func BenchmarkThroughput_4Layer_MACH(b *testing.B) {
-	benchThroughput(b, bench.MACH, layers.Stack4(), 4)
-}
-func BenchmarkThroughput_4Layer_HAND(b *testing.B) {
-	benchThroughput(b, bench.HAND, layers.Stack4(), 4)
-}
-
-func BenchmarkThroughput_10Layer_IMP_Batched(b *testing.B) {
-	benchThroughputBatched(b, bench.IMP, layers.Stack10(), 4)
-}
-func BenchmarkThroughput_10Layer_FUNC_Batched(b *testing.B) {
-	benchThroughputBatched(b, bench.FUNC, layers.Stack10(), 4)
-}
-func BenchmarkThroughput_10Layer_MACH_Batched(b *testing.B) {
-	benchThroughputBatched(b, bench.MACH, layers.Stack10(), 4)
-}
-func BenchmarkThroughput_4Layer_MACH_Batched(b *testing.B) {
-	benchThroughputBatched(b, bench.MACH, layers.Stack4(), 4)
-}
-func BenchmarkThroughput_4Layer_HAND_Batched(b *testing.B) {
-	benchThroughputBatched(b, bench.HAND, layers.Stack4(), 4)
-}
-func BenchmarkThroughput_10Layer_MACH_BatchedDelta(b *testing.B) {
-	benchThroughputBatchedDelta(b, bench.MACH, layers.Stack10(), 4)
-}
-func BenchmarkThroughput_10Layer_FUNC_BatchedDelta(b *testing.B) {
-	benchThroughputBatchedDelta(b, bench.FUNC, layers.Stack10(), 4)
-}
-
-// The _Obs variants run the same steady-state workload with the obs
-// substrate (metrics registry + flight recorder) live on the emit path.
-// They carry the _10Layer_ tag deliberately: the bench gate's
-// zero-allocation scan covers every 10-layer throughput benchmark, so
-// observability-on is held to the same 0 allocs/op standard as
-// observability-off (Gate 4).
-func benchThroughputObs(b *testing.B, cfg bench.Config, names []string, size int, mode bench.BatchMode) {
-	b.Helper()
-	r, err := bench.NewObservedThroughputRunner(cfg, names, size, mode)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r.Run(520)
-	before := r.Delivered()
-	b.ReportAllocs()
-	b.ResetTimer()
-	r.Run(b.N)
-	b.StopTimer()
-	if got := r.Delivered() - before; got < b.N {
-		b.Fatalf("%d rounds but only %d deliveries", b.N, got)
+	if !observed {
+		if bs := r.BatchStats(); bs.Frames > 0 {
+			b.ReportMetric(float64(bs.SubPackets)/float64(bs.Frames), "subs/frame")
+		}
+		return r
 	}
 	if r.FlightRecorder().Track(0).Total() == 0 {
 		b.Fatal("observed run recorded nothing")
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
-}
-
-func BenchmarkThroughput_10Layer_MACH_BatchedDelta_Obs(b *testing.B) {
-	benchThroughputObs(b, bench.MACH, layers.Stack10(), 4, bench.BatchedDelta)
-}
-func BenchmarkThroughput_10Layer_FUNC_Batched_Obs(b *testing.B) {
-	benchThroughputObs(b, bench.FUNC, layers.Stack10(), 4, bench.Batched)
-}
-
-// The _ObsHist variants (Gate 8) run the observed workload and then
-// assert the zero-alloc latency histograms actually sampled it: every
-// emitted wire lands one log-linear bucket add (member<m>/wire_bytes).
-// They carry the _10Layer_ tag so the zero-allocation scan (Gate 1)
-// holds the histogram-instrumented path to 0 allocs/op too.
-func benchThroughputObsHist(b *testing.B, cfg bench.Config, names []string, size int, mode bench.BatchMode) {
-	b.Helper()
-	r, err := bench.NewObservedThroughputRunner(cfg, names, size, mode)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r.Run(520)
-	before := r.Delivered()
-	b.ReportAllocs()
-	b.ResetTimer()
-	r.Run(b.N)
-	b.StopTimer()
-	if got := r.Delivered() - before; got < b.N {
-		b.Fatalf("%d rounds but only %d deliveries", b.N, got)
 	}
 	snap := r.Metrics()
 	n, ok := snap.Get("member0/wire_bytes/count")
 	if !ok || n == 0 {
 		b.Fatalf("wire-size histogram sampled nothing (count=%d ok=%t)", n, ok)
 	}
-	p99, _ := snap.Get("member0/wire_bytes/p99")
-	if p99 <= 0 {
+	if p99, _ := snap.Get("member0/wire_bytes/p99"); p99 <= 0 {
 		b.Fatalf("wire-size histogram has empty quantiles (p99=%d)", p99)
 	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "msgs/sec")
-	b.ReportMetric(float64(p99), "hist-p99-bytes")
+	return r
 }
 
+func BenchmarkThroughput_10Layer_IMP(b *testing.B) {
+	benchThroughput(b, bench.IMP, layers.Stack10(), bench.Immediate, false)
+}
+func BenchmarkThroughput_10Layer_FUNC(b *testing.B) {
+	benchThroughput(b, bench.FUNC, layers.Stack10(), bench.Immediate, false)
+}
+func BenchmarkThroughput_10Layer_MACH(b *testing.B) {
+	benchThroughput(b, bench.MACH, layers.Stack10(), bench.Immediate, false)
+}
+func BenchmarkThroughput_4Layer_IMP(b *testing.B) {
+	benchThroughput(b, bench.IMP, layers.Stack4(), bench.Immediate, false)
+}
+func BenchmarkThroughput_4Layer_FUNC(b *testing.B) {
+	benchThroughput(b, bench.FUNC, layers.Stack4(), bench.Immediate, false)
+}
+func BenchmarkThroughput_4Layer_MACH(b *testing.B) {
+	benchThroughput(b, bench.MACH, layers.Stack4(), bench.Immediate, false)
+}
+func BenchmarkThroughput_4Layer_HAND(b *testing.B) {
+	benchThroughput(b, bench.HAND, layers.Stack4(), bench.Immediate, false)
+}
+
+func BenchmarkThroughput_10Layer_IMP_Batched(b *testing.B) {
+	benchThroughput(b, bench.IMP, layers.Stack10(), bench.Batched, false)
+}
+func BenchmarkThroughput_10Layer_FUNC_Batched(b *testing.B) {
+	benchThroughput(b, bench.FUNC, layers.Stack10(), bench.Batched, false)
+}
+func BenchmarkThroughput_10Layer_MACH_Batched(b *testing.B) {
+	benchThroughput(b, bench.MACH, layers.Stack10(), bench.Batched, false)
+}
+func BenchmarkThroughput_4Layer_MACH_Batched(b *testing.B) {
+	benchThroughput(b, bench.MACH, layers.Stack4(), bench.Batched, false)
+}
+func BenchmarkThroughput_4Layer_HAND_Batched(b *testing.B) {
+	benchThroughput(b, bench.HAND, layers.Stack4(), bench.Batched, false)
+}
+func BenchmarkThroughput_10Layer_MACH_BatchedDelta(b *testing.B) {
+	benchThroughput(b, bench.MACH, layers.Stack10(), bench.BatchedDelta, false)
+}
+func BenchmarkThroughput_10Layer_FUNC_BatchedDelta(b *testing.B) {
+	benchThroughput(b, bench.FUNC, layers.Stack10(), bench.BatchedDelta, false)
+}
+
+// The _Obs variants carry the _10Layer_ tag deliberately: the bench
+// gate's zero-allocation scan covers every 10-layer throughput
+// benchmark, so observability-on is held to the same 0 allocs/op
+// standard as observability-off (Gate 4). The _ObsHist variants (Gate
+// 8) also report the sampled wire-size p99, so the gate can see the
+// zero-alloc latency histograms were live on the 0-alloc path.
+
+func BenchmarkThroughput_10Layer_MACH_BatchedDelta_Obs(b *testing.B) {
+	benchThroughput(b, bench.MACH, layers.Stack10(), bench.BatchedDelta, true)
+}
+func BenchmarkThroughput_10Layer_FUNC_Batched_Obs(b *testing.B) {
+	benchThroughput(b, bench.FUNC, layers.Stack10(), bench.Batched, true)
+}
 func BenchmarkThroughput_10Layer_MACH_BatchedDelta_ObsHist(b *testing.B) {
-	benchThroughputObsHist(b, bench.MACH, layers.Stack10(), 4, bench.BatchedDelta)
+	p99, _ := benchThroughput(b, bench.MACH, layers.Stack10(), bench.BatchedDelta, true).Metrics().Get("member0/wire_bytes/p99")
+	b.ReportMetric(float64(p99), "hist-p99-bytes")
 }
 func BenchmarkThroughput_10Layer_FUNC_Batched_ObsHist(b *testing.B) {
-	benchThroughputObsHist(b, bench.FUNC, layers.Stack10(), 4, bench.Batched)
+	p99, _ := benchThroughput(b, bench.FUNC, layers.Stack10(), bench.Batched, true).Metrics().Get("member0/wire_bytes/p99")
+	b.ReportMetric(float64(p99), "hist-p99-bytes")
 }
 
 // §4.2: the common-case-predicate check itself ("checking the CCPs takes
@@ -285,11 +225,7 @@ func BenchmarkAblation_MACH_InlineEffects(b *testing.B) {
 // the simulated link. Seq and Conc variants execute the identical
 // delivery schedule (netsim.Cluster's determinism guarantee), so their
 // msgs/sec difference is pure scheduling overhead or parallel speedup.
-
-func benchThroughputNet(b *testing.B, cfg bench.Config, members, workers int) {
-	benchThroughputNetMode(b, cfg, members, workers, 64, bench.Immediate)
-}
-
+//
 // The Batched variants run the members' wire batching with the adaptive
 // quantum (the unbatched ones run the immediate-mode ablation) on the
 // classic frame format and report the observed coalescing factor; the
@@ -298,10 +234,6 @@ func benchThroughputNet(b *testing.B, cfg bench.Config, members, workers int) {
 // cast — which is what the compression gate compares — and xfirst-delta,
 // the frames whose first sub rode the previous frame's last sub (0
 // unless chaining is on).
-func benchThroughputNetBatched(b *testing.B, cfg bench.Config, members, workers int) {
-	benchThroughputNetMode(b, cfg, members, workers, 64, bench.Batched)
-}
-
 func benchThroughputNetMode(b *testing.B, cfg bench.Config, members, workers, size int, mode bench.BatchMode) {
 	b.Helper()
 	rounds := b.N
@@ -323,34 +255,34 @@ func benchThroughputNetMode(b *testing.B, cfg bench.Config, members, workers, si
 }
 
 func BenchmarkThroughputNet_3Members_IMP_Seq(b *testing.B) {
-	benchThroughputNet(b, bench.IMP, 3, 1)
+	benchThroughputNetMode(b, bench.IMP, 3, 1, 64, bench.Immediate)
 }
 func BenchmarkThroughputNet_3Members_IMP_Conc(b *testing.B) {
-	benchThroughputNet(b, bench.IMP, 3, 3)
+	benchThroughputNetMode(b, bench.IMP, 3, 3, 64, bench.Immediate)
 }
 func BenchmarkThroughputNet_5Members_MACH_Seq(b *testing.B) {
-	benchThroughputNet(b, bench.MACH, 5, 1)
+	benchThroughputNetMode(b, bench.MACH, 5, 1, 64, bench.Immediate)
 }
 func BenchmarkThroughputNet_5Members_MACH_Conc(b *testing.B) {
-	benchThroughputNet(b, bench.MACH, 5, 5)
+	benchThroughputNetMode(b, bench.MACH, 5, 5, 64, bench.Immediate)
 }
 func BenchmarkThroughputNet_8Members_FUNC_Seq(b *testing.B) {
-	benchThroughputNet(b, bench.FUNC, 8, 1)
+	benchThroughputNetMode(b, bench.FUNC, 8, 1, 64, bench.Immediate)
 }
 func BenchmarkThroughputNet_8Members_FUNC_Conc(b *testing.B) {
-	benchThroughputNet(b, bench.FUNC, 8, 8)
+	benchThroughputNetMode(b, bench.FUNC, 8, 8, 64, bench.Immediate)
 }
 func BenchmarkThroughputNet_3Members_IMP_Seq_Batched(b *testing.B) {
-	benchThroughputNetBatched(b, bench.IMP, 3, 1)
+	benchThroughputNetMode(b, bench.IMP, 3, 1, 64, bench.Batched)
 }
 func BenchmarkThroughputNet_5Members_MACH_Conc_Batched(b *testing.B) {
-	benchThroughputNetBatched(b, bench.MACH, 5, 5)
+	benchThroughputNetMode(b, bench.MACH, 5, 5, 64, bench.Batched)
 }
 func BenchmarkThroughputNet_8Members_FUNC_Seq_Batched(b *testing.B) {
-	benchThroughputNetBatched(b, bench.FUNC, 8, 1)
+	benchThroughputNetMode(b, bench.FUNC, 8, 1, 64, bench.Batched)
 }
 func BenchmarkThroughputNet_8Members_FUNC_Conc_Batched(b *testing.B) {
-	benchThroughputNetBatched(b, bench.FUNC, 8, 8)
+	benchThroughputNetMode(b, bench.FUNC, 8, 8, 64, bench.Batched)
 }
 
 // The compression gate ladder: the same 8-member MACH cast workload at

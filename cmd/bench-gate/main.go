@@ -51,7 +51,7 @@
 //	go test -run xxx -bench 'BenchmarkThroughput_' -benchtime 100x . > unit.out
 //	go test -run xxx -bench 'BenchmarkThroughputNet_' -benchtime 150x . > net.out
 //	go test -run xxx -bench 'BenchmarkMixedTraffic_' -benchtime 1x . > mixed.out
-//	go run ./cmd/bench-gate -unit unit.out -net net.out -mixed mixed.out -out BENCH_PR10.json
+//	go run ./cmd/bench-gate -unit unit.out -net net.out -mixed mixed.out -out .bench_gate.json
 package main
 
 import (
@@ -420,9 +420,7 @@ func main() {
 
 	if *outPath != "" {
 		doc := map[string]any{
-			"pr":    10,
-			"title": "Causal cross-member tracing, zero-alloc latency histograms, and a live telemetry plane",
-			"date":  time.Now().Format("2006-01-02"),
+			"date": time.Now().Format("2006-01-02"),
 			// The host the numbers were measured on. nproc and GOMAXPROCS
 			// are read here; make bench-gate runs the benchmarks in the same
 			// environment, so they match what the go test runs saw.

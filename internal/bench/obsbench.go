@@ -48,11 +48,11 @@ type ObsOverhead struct {
 // bracketing) is what makes the ratio meaningful across CI machines.
 func MeasureObsOverhead(mode BatchMode, rounds int) (ObsOverhead, error) {
 	names := layers.Stack10()
-	off, err := measureThroughputObs(MACH, names, 4, rounds, mode, false)
+	off, err := MeasureThroughput(MACH, names, 4, rounds, mode, false)
 	if err != nil {
 		return ObsOverhead{}, err
 	}
-	on, err := measureThroughputObs(MACH, names, 4, rounds, mode, true)
+	on, err := MeasureThroughput(MACH, names, 4, rounds, mode, true)
 	if err != nil {
 		return ObsOverhead{}, err
 	}

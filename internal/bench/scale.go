@@ -94,11 +94,7 @@ func MeasureScale(members, rounds int, seed int64, workers int) (ScaleResult, er
 	}
 	deadline := int64(rounds)*scaleInterval + int64(2e9)
 	t0 := time.Now()
-	if workers > 1 {
-		g.RunConcurrent(deadline, workers)
-	} else {
-		g.Run(deadline)
-	}
+	g.RunConcurrent(deadline, workers)
 	wall := time.Since(t0)
 
 	res := ScaleResult{
@@ -150,11 +146,7 @@ func MeasureHierScale(groups, per, rounds int, seed int64, workers int) (ScaleRe
 	// extra second for the spine hop.
 	deadline := int64(rounds)*scaleInterval + int64(3e9)
 	t0 := time.Now()
-	if workers > 1 {
-		hg.RunConcurrent(deadline, workers)
-	} else {
-		hg.Run(deadline)
-	}
+	hg.RunConcurrent(deadline, workers)
 	wall := time.Since(t0)
 
 	res := ScaleResult{
@@ -185,13 +177,12 @@ func MeasureHierScale(groups, per, rounds int, seed int64, workers int) (ScaleRe
 // traces byte for byte — the determinism half of the scaling gate,
 // kept short so the probe does not dominate the measurement.
 func flatIdentityProbe(members int, seed int64, workers int) (bool, error) {
-	run := func(workers int) (string, error) {
+	return traceIdentical(workers, func() (*netsim.Cluster, error) {
 		g, err := core.NewClusterGroup(members, netsim.Ethernet100(), seed+1, ScaleStack(), stack.Func, nil)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		g.Cluster.SetShards(scaleShards(members))
-		g.Cluster.EnableTrace()
 		casters := members
 		if casters > 8 {
 			casters = 8
@@ -203,22 +194,8 @@ func flatIdentityProbe(members int, seed int64, workers int) (bool, error) {
 				g.Do(r, int64(i)*scaleInterval, func() { g.Members[r].Cast(buf) })
 			}
 		}
-		if workers > 1 {
-			g.RunConcurrent(int64(200e6), workers)
-		} else {
-			g.Run(int64(200e6))
-		}
-		return g.Cluster.TraceString(), nil
-	}
-	seq, err := run(1)
-	if err != nil {
-		return false, err
-	}
-	conc, err := run(workers)
-	if err != nil {
-		return false, err
-	}
-	return seq != "" && seq == conc, nil
+		return g.Cluster, nil
+	})
 }
 
 // XFrameIdentityProbe is the wire-format determinism check behind Gate
@@ -230,12 +207,11 @@ func flatIdentityProbe(members int, seed int64, workers int) (bool, error) {
 // concurrency, so the probe covers exactly the stateful machinery that
 // could have cost determinism.
 func XFrameIdentityProbe(members int, seed int64, workers int) (bool, error) {
-	run := func(workers int) (string, error) {
+	return traceIdentical(workers, func() (*netsim.Cluster, error) {
 		g, err := core.NewOptimizedClusterGroup(members, netsim.Ethernet100(), seed+1, layers.Stack10(), stack.Func, nil)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		g.Cluster.EnableTrace()
 		g.Cluster.EnableAdaptiveQuantum(400_000, 100_000_000)
 		buf := make([]byte, 16)
 		for i := 0; i < 4; i++ {
@@ -253,54 +229,42 @@ func XFrameIdentityProbe(members int, seed int64, workers int) (bool, error) {
 				}
 			}
 		}
-		if workers > 1 {
-			g.RunConcurrent(int64(200e6), workers)
-		} else {
-			g.Run(int64(200e6))
-		}
-		return g.Cluster.TraceString(), nil
-	}
-	seq, err := run(1)
-	if err != nil {
-		return false, err
-	}
-	conc, err := run(workers)
-	if err != nil {
-		return false, err
-	}
-	return seq != "" && seq == conc, nil
+		return g.Cluster, nil
+	})
 }
 
 // hierIdentityProbe is flatIdentityProbe over the hierarchy.
 func hierIdentityProbe(groups, per int, seed int64, workers int) (bool, error) {
-	run := func(workers int) (string, error) {
+	return traceIdentical(workers, func() (*netsim.Cluster, error) {
 		hg, err := core.NewHierGroup(groups, per, netsim.Ethernet100(), seed+1, ScaleStack(), stack.Func, nil)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		hg.Cluster.EnableTrace()
 		buf := make([]byte, 16)
 		for i := 0; i < 2; i++ {
 			for r := 0; r < 8 && r < groups*per; r++ {
 				hg.Cast(r, int64(i)*scaleInterval, buf)
 			}
 		}
-		if workers > 1 {
-			hg.RunConcurrent(int64(200e6), workers)
-		} else {
-			hg.Run(int64(200e6))
+		return hg.Cluster, nil
+	})
+}
+
+// traceIdentical builds the same workload twice, runs 200 ms of virtual
+// time traced — once sequentially, once on workers goroutines — and
+// reports whether the two delivery traces match byte for byte.
+func traceIdentical(workers int, build func() (*netsim.Cluster, error)) (bool, error) {
+	var traces [2]string
+	for i, w := range []int{1, workers} {
+		c, err := build()
+		if err != nil {
+			return false, err
 		}
-		return hg.Cluster.TraceString(), nil
+		c.EnableTrace()
+		c.RunConcurrent(c.Sim().Now()+int64(200e6), w)
+		traces[i] = c.TraceString()
 	}
-	seq, err := run(1)
-	if err != nil {
-		return false, err
-	}
-	conc, err := run(workers)
-	if err != nil {
-		return false, err
-	}
-	return seq != "" && seq == conc, nil
+	return traces[0] != "" && traces[0] == traces[1], nil
 }
 
 // ViewChange is one measured view change: a graceful leave from a

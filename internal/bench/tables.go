@@ -11,7 +11,6 @@ import (
 	"ensemble/internal/opt"
 	"ensemble/internal/perfcount"
 	"ensemble/internal/stack"
-	"ensemble/internal/transport"
 )
 
 // This file regenerates each table and figure of §4.2 as formatted text.
@@ -105,92 +104,27 @@ type Counters struct {
 	Deliveries int
 }
 
-// MeasureCounters runs rounds of send/receive and reports the counters.
+// MeasureCounters runs rounds of send/receive on a fresh two-member
+// pair (no warmup, unbatched) and reports the counters. WireBytes counts
+// every wire member 0 emits; Deliveries counts both members'
+// application deliveries, as the throughput runner does.
 func MeasureCounters(cfg Config, names []string, size, rounds int) (Counters, error) {
-	var c Counters
-	c.Rounds = rounds
-	payload := make([]byte, size)
-
-	switch cfg {
-	case IMP, FUNC:
-		mode := stack.Imp
-		if cfg == FUNC {
-			mode = stack.Func
-		}
-		sender, err := newStackNode(names, mode, 0)
-		if err != nil {
-			return c, err
-		}
-		receiver, err := newStackNode(names, mode, 1)
-		if err != nil {
-			return c, err
-		}
-		var wbuf transport.Writer
-		run := func() error {
-			for i := 0; i < rounds; i++ {
-				sender.stk.SubmitDn(event.CastEv(payload))
-				for _, ev := range sender.takeOuts() {
-					if err := transport.Marshal(ev, 0, &wbuf); err != nil {
-						return err
-					}
-					wire := wbuf.Seal()
-					event.Free(ev)
-					c.WireBytes += int64(len(wire))
-					up, err := transport.Unmarshal(wire)
-					if err != nil {
-						return err
-					}
-					receiver.stk.DeliverUp(up)
-				}
-				if err := drainFeedback(receiver, sender); err != nil {
-					return err
-				}
-				if i%256 == 255 {
-					sweep(sender, receiver, int64(i))
-				}
-			}
-			return nil
-		}
-		smp, err := perfcount.Measure(run)
-		if err != nil {
-			return c, err
-		}
-		c.apply(smp)
-		c.Deliveries = receiver.delivs
-	case MACH:
-		p, err := newMachPair(names)
-		if err != nil {
-			return c, err
-		}
-		run := func() error {
-			for i := 0; i < rounds; i++ {
-				p.timing = true
-				p.wire = p.wire[:0]
-				p.engs[0].Cast(payload)
-				p.timing = false
-				if len(p.wire) > 0 {
-					c.WireBytes += int64(len(p.wire))
-					p.engs[1].Packet(p.wire)
-				}
-				p.drain()
-				if i%256 == 255 {
-					now := int64(i) * int64(1e6)
-					p.engs[0].Timer(now)
-					p.engs[1].Timer(now)
-					p.drain()
-				}
-			}
-			return nil
-		}
-		smp, err := perfcount.Measure(run)
-		if err != nil {
-			return c, err
-		}
-		c.apply(smp)
-		c.Deliveries = p.delivs
-	default:
-		return c, fmt.Errorf("bench: counters unsupported for %s", cfg)
+	r, err := NewThroughputRunner(cfg, names, size, Immediate, false)
+	if err != nil {
+		return Counters{}, err
 	}
+	c := Counters{Rounds: rounds}
+	send := r.p.emit[0]
+	r.p.emit[0] = func(to int, wire []byte) {
+		c.WireBytes += int64(len(wire))
+		send(to, wire)
+	}
+	smp, err := perfcount.Measure(func() error { r.Run(rounds); return nil })
+	if err != nil {
+		return c, err
+	}
+	c.apply(smp)
+	c.Deliveries = r.Delivered()
 	return c, nil
 }
 

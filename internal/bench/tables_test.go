@@ -65,6 +65,13 @@ func TestCountersShape(t *testing.T) {
 	if mach.Mallocs >= orig.Mallocs {
 		t.Errorf("optimized allocations (%d) not fewer than original (%d)", mach.Mallocs, orig.Mallocs)
 	}
+	hand, err := MeasureCounters(HAND, []string{"top", "pt2pt", "mnak", "bottom"}, 4, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hand.WireBytes <= 0 || hand.Deliveries <= 0 {
+		t.Errorf("hand counters empty: wire=%d deliveries=%d", hand.WireBytes, hand.Deliveries)
+	}
 }
 
 func TestE2ETableShape(t *testing.T) {

@@ -5,12 +5,9 @@ import (
 	"time"
 
 	"ensemble/internal/event"
-	"ensemble/internal/layer"
 	"ensemble/internal/layers"
 	"ensemble/internal/obs"
-	"ensemble/internal/opt"
 	"ensemble/internal/perfcount"
-	"ensemble/internal/stack"
 	"ensemble/internal/transport"
 )
 
@@ -54,26 +51,21 @@ func (m BatchMode) String() string {
 }
 
 // ThroughputRunner drives steady-state cast rounds between a rank-0
-// sender and a rank-1 receiver under one configuration. Construction
-// (stack build, bypass compilation) is separated from Run so benchmarks
-// can exclude setup from the timed region.
+// sender and a rank-1 receiver of the two-member pair under one
+// configuration. Construction (stack build, bypass compilation) is
+// separated from Run so benchmarks can exclude setup from the timed
+// region.
 type ThroughputRunner struct {
-	cfg       Config
-	payload   []byte
-	delivered int
-
-	submit func()
-	sweep  func(now int64)
-	rounds int
+	p       *pair
+	payload []byte
+	rounds  int
 
 	// Batched modes: outgoing wires coalesce in per-member Batchers that
 	// are flushed every flushEvery rounds (and at the end of every Run),
 	// putting the frame encode and the walker decode on the measured
-	// path. flush drains both members until neither has pending frames.
-	mode       BatchMode
-	flushEvery int
-	flush      func()
-	batchStats func() transport.BatcherStats
+	// path.
+	mode  BatchMode
+	batch [2]*transport.Batcher
 
 	// Observed runners carry the full obs substrate on the measured
 	// path: every emitted wire bumps a registry counter and lands a
@@ -88,113 +80,29 @@ type ThroughputRunner struct {
 
 func (r *ThroughputRunner) batched() bool { return r.mode != Immediate }
 
-// wirePump moves marshaled packets between the two members without
-// recursion: a send snapshots the wire into a recycled buffer (the
-// sender's marshal buffer is reused, so the image is only valid during
-// the call) and the outermost send drains the queue. Queue slots and
-// buffers are recycled, so the steady state allocates nothing, and a
-// packet's buffer is only reused after its delivery has returned —
-// every longer-lived reference (retransmission buffers, reassembly) is
-// copied by the buffering layer that keeps it.
-type wirePump struct {
-	pending []wireItem
-	head    int
-	spare   [][]byte
-	active  bool
-	deliver func(to int, wire []byte)
-}
+// flushEvery is the batched runner's flush period in rounds: the steady
+// state gets a real coalescing factor (≥ 8 subs per data frame) while
+// flow-control feedback stays timely.
+const flushEvery = 8
 
-type wireItem struct {
-	to  int
-	buf []byte
-}
-
-func (p *wirePump) send(to int, wire []byte) {
-	var buf []byte
-	if n := len(p.spare); n > 0 {
-		buf = p.spare[n-1]
-		p.spare = p.spare[:n-1]
+// NewThroughputRunner builds the two-member pair for cfg with wires
+// reaching the pump as mode says. In the batched modes wires append
+// into per-member Batchers and frames are walked back apart at the
+// receiver. The harness's bare wires carry no epoch prefix, so
+// BatchedDelta runs its codec with prefix arity 0. BatchedCross is
+// rejected: its adaptive flush needs a clock the harness does not
+// have. observed wires the metrics registry and flight recorder onto
+// the emit path (see ThroughputRunner.obsReg).
+func NewThroughputRunner(cfg Config, names []string, size int, mode BatchMode, observed bool) (*ThroughputRunner, error) {
+	if mode == BatchedCross {
+		return nil, fmt.Errorf("bench: %s needs an adaptive-flush clock the two-member harness lacks", mode)
 	}
-	p.pending = append(p.pending, wireItem{to: to, buf: append(buf[:0], wire...)})
-	if p.active {
-		return
+	p, err := newPair(cfg, names)
+	if err != nil {
+		return nil, err
 	}
-	p.active = true
-	for p.head < len(p.pending) {
-		it := p.pending[p.head]
-		p.pending[p.head] = wireItem{}
-		p.head++
-		p.deliver(it.to, it.buf)
-		p.spare = append(p.spare, it.buf)
-	}
-	p.pending = p.pending[:0]
-	p.head = 0
-	p.active = false
-}
-
-// newFramePump builds the two-member pump: every wire reaches deliver,
-// frames walked apart into their sub-packets first on the link from the
-// other member. The walker runs in scratch mode — the pump already
-// requires receivers to consume (or copy) a wire during delivery, so
-// reconstructed delta subs may share one recycled buffer, keeping the
-// path at 0 allocs; the link mirrors copy what they keep, and the
-// in-process links are FIFO, so chains never miss.
-func newFramePump(deliver func(to int, wire []byte)) *wirePump {
-	wk := transport.NewFrameWalker(0, false)
-	var walk [2]func(sub []byte)
-	for m := range walk {
-		m := m
-		walk[m] = func(sub []byte) { deliver(m, sub) }
-	}
-	return &wirePump{deliver: func(to int, wire []byte) {
-		if transport.IsFrame(wire) {
-			wk.WalkLink(event.Addr(1-to), event.Addr(to), wire, walk[to])
-			return
-		}
-		deliver(to, wire)
-	}}
-}
-
-// NewThroughputRunner builds the two-member system for cfg.
-func NewThroughputRunner(cfg Config, names []string, size int) (*ThroughputRunner, error) {
-	return newThroughputRunner(cfg, names, size, Immediate)
-}
-
-// NewBatchedThroughputRunner builds the two-member system with wire
-// batching on the measured path: wires append into per-member Batchers
-// and frames are walked back apart at the receiver. Flushing every 8
-// rounds gives the steady state a real coalescing factor (≥ 8 subs per
-// data frame) while keeping flow-control feedback timely.
-func NewBatchedThroughputRunner(cfg Config, names []string, size int) (*ThroughputRunner, error) {
-	return newThroughputRunner(cfg, names, size, Batched)
-}
-
-// NewBatchedDeltaThroughputRunner is NewBatchedThroughputRunner with the
-// delta frame format (0xB9, chaining off), putting the delta encode and
-// the reconstructing walker decode on the measured path. The harness's
-// bare wires carry no epoch prefix, so the codec runs with prefix arity
-// 0.
-func NewBatchedDeltaThroughputRunner(cfg Config, names []string, size int) (*ThroughputRunner, error) {
-	return newThroughputRunner(cfg, names, size, BatchedDelta)
-}
-
-// NewObservedThroughputRunner builds the two-member system with the
-// metrics registry and flight recorder wired onto the emit path (see
-// ThroughputRunner.obsReg). mode selects the wire path as usual.
-func NewObservedThroughputRunner(cfg Config, names []string, size int, mode BatchMode) (*ThroughputRunner, error) {
-	return newObservedThroughputRunner(cfg, names, size, mode, true)
-}
-
-func newThroughputRunner(cfg Config, names []string, size int, mode BatchMode) (*ThroughputRunner, error) {
-	return newObservedThroughputRunner(cfg, names, size, mode, false)
-}
-
-func newObservedThroughputRunner(cfg Config, names []string, size int, mode BatchMode, observed bool) (*ThroughputRunner, error) {
-	r := &ThroughputRunner{cfg: cfg, payload: make([]byte, size), mode: mode, flushEvery: 8}
+	r := &ThroughputRunner{p: p, payload: make([]byte, size), mode: mode}
 	if observed {
-		// The registry and recorder must exist before init*, because the
-		// emit closures (where the instrumentation hangs) are captured
-		// there.
 		r.obsReg = obs.NewRegistry()
 		r.obsRec = obs.NewRecorder(2, 1024)
 		for m := range r.obsOut {
@@ -202,29 +110,10 @@ func newObservedThroughputRunner(cfg Config, names []string, size int, mode Batc
 			r.obsOut[m] = sc.Counter("wires_out")
 			r.obsHist[m] = sc.Histogram("wire_bytes")
 		}
-		r.obsReg.Func("delivered", func() int64 { return int64(r.delivered) })
+		r.obsReg.Func("delivered", func() int64 { return int64(p.delivered) })
 		r.obsReg.Func("rounds", func() int64 { return int64(r.rounds) })
 	}
-	switch cfg {
-	case IMP, FUNC:
-		mode := stack.Imp
-		if cfg == FUNC {
-			mode = stack.Func
-		}
-		if err := r.initStacks(names, mode); err != nil {
-			return nil, err
-		}
-	case MACH:
-		if err := r.initMach(names); err != nil {
-			return nil, err
-		}
-	case HAND:
-		if err := r.initHand(); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("bench: unknown config %d", cfg)
-	}
+	p.emit = r.emitters()
 	return r, nil
 }
 
@@ -237,13 +126,22 @@ type pumpSink struct{ pump *wirePump }
 func (s pumpSink) Send(from, to event.Addr, data []byte) { s.pump.send(int(to), data) }
 func (s pumpSink) Cast(from event.Addr, data []byte)     { s.pump.send(1-int(from), data) }
 
-// emitters returns the per-member wire emitters and installs the flush
-// hook: direct pump sends when unbatched, per-member Batchers when
-// batched. flush alternates the two members until neither has pending
-// frames, because flushing one member's frames can make the other emit
-// (acknowledgments, credit).
-func (r *ThroughputRunner) emitters(pump *wirePump) [2]func(to int, wire []byte) {
-	emit := r.rawEmitters(pump)
+// emitters returns the per-member wire emitters: the pair's own pump
+// sends when unbatched, per-member Batchers when batched, each wrapped
+// in the obs instrumentation when observed.
+func (r *ThroughputRunner) emitters() [2]func(to int, wire []byte) {
+	emit := r.p.emit
+	if r.batched() {
+		for m := range emit {
+			b := transport.NewBatcher(pumpSink{pump: r.p.pump}, event.Addr(m), 0)
+			if r.mode == BatchedDelta {
+				b.EnableCrossFrame(0) // bare wires: no epoch prefix
+				b.DisableCrossFrame()
+			}
+			r.batch[m] = b
+			emit[m] = func(to int, wire []byte) { b.Send(event.Addr(to), wire) }
+		}
+	}
 	if r.obsReg == nil {
 		return emit
 	}
@@ -266,141 +164,14 @@ func (r *ThroughputRunner) emitters(pump *wirePump) [2]func(to int, wire []byte)
 	return emit
 }
 
-func (r *ThroughputRunner) rawEmitters(pump *wirePump) [2]func(to int, wire []byte) {
-	var emit [2]func(to int, wire []byte)
-	if !r.batched() {
-		for m := range emit {
-			emit[m] = func(to int, wire []byte) { pump.send(to, wire) }
-		}
-		r.flush = func() {}
-		r.batchStats = func() transport.BatcherStats { return transport.BatcherStats{} }
-		return emit
+// flush alternates the two members' batchers until neither has pending
+// frames, because flushing one member's frames can make the other emit
+// (acknowledgments, credit).
+func (r *ThroughputRunner) flush() {
+	for r.batch[0].Pending()+r.batch[1].Pending() > 0 {
+		r.batch[0].Flush()
+		r.batch[1].Flush()
 	}
-	var batch [2]*transport.Batcher
-	for m := range batch {
-		m := m
-		batch[m] = transport.NewBatcher(pumpSink{pump: pump}, event.Addr(m), 0)
-		if r.mode == BatchedDelta {
-			batch[m].EnableCrossFrame(0) // bare wires: no epoch prefix
-			batch[m].DisableCrossFrame()
-		}
-		emit[m] = func(to int, wire []byte) { batch[m].Send(event.Addr(to), wire) }
-	}
-	r.flush = func() {
-		for batch[0].Pending()+batch[1].Pending() > 0 {
-			batch[0].Flush()
-			batch[1].Flush()
-		}
-	}
-	r.batchStats = func() transport.BatcherStats {
-		st := batch[0].Stats()
-		st.Add(batch[1].Stats())
-		return st
-	}
-	return emit
-}
-
-// initStacks wires two plain stacks back to back over an in-process
-// perfect link: every outgoing data event is marshaled and pumped into
-// the peer, so the transport is on the measured path (unlike the
-// latency harness, which times it separately).
-func (r *ThroughputRunner) initStacks(names []string, mode stack.Mode) error {
-	var stks [2]stack.Stack
-	var wbufs [2]transport.Writer
-	pump := newFramePump(func(to int, wire []byte) {
-		up, err := transport.Unmarshal(wire)
-		if err != nil {
-			panic(fmt.Sprintf("bench: unmarshal: %v", err))
-		}
-		stks[to].DeliverUp(up)
-	})
-	emit := r.emitters(pump)
-	for m := 0; m < 2; m++ {
-		m := m
-		cfg := layer.DefaultConfig(benchView(2, m))
-		stk, err := stack.Build(names, cfg, mode, stack.Callbacks{
-			App: func(ev *event.Event) {
-				if (ev.Type == event.ECast || ev.Type == event.ESend) && ev.ApplMsg {
-					r.delivered++
-				}
-			},
-			Net: func(ev *event.Event) {
-				if ev.Type != event.ECast && ev.Type != event.ESend {
-					return
-				}
-				if err := transport.Marshal(ev, m, &wbufs[m]); err != nil {
-					panic(fmt.Sprintf("bench: marshal: %v", err))
-				}
-				emit[m](1-m, wbufs[m].Seal())
-			},
-		})
-		if err != nil {
-			return err
-		}
-		stks[m] = stk
-	}
-	r.submit = func() { stks[0].SubmitDn(event.CastEv(r.payload)) }
-	r.sweep = func(now int64) {
-		stks[0].DeliverUp(event.TimerEv(now))
-		stks[1].DeliverUp(event.TimerEv(now))
-	}
-	return nil
-}
-
-func (r *ThroughputRunner) initMach(names []string) error {
-	var engs [2]*opt.Engine
-	pump := newFramePump(func(to int, wire []byte) { engs[to].Packet(wire) })
-	emit := r.emitters(pump)
-	for m := 0; m < 2; m++ {
-		m := m
-		eng, err := opt.NewEngine(names, layer.DefaultConfig(benchView(2, m)), stack.Func)
-		if err != nil {
-			return err
-		}
-		eng.Deliver = func(int, []byte, bool) { r.delivered++ }
-		eng.SendWire = func(cast bool, dst int, wire []byte) {
-			to := dst
-			if cast {
-				to = 1 - m
-			}
-			emit[m](to, wire)
-		}
-		engs[m] = eng
-	}
-	r.submit = func() { engs[0].Cast(r.payload) }
-	r.sweep = func(now int64) {
-		engs[0].Timer(now)
-		engs[1].Timer(now)
-	}
-	return nil
-}
-
-func (r *ThroughputRunner) initHand() error {
-	var hands [2]*layers.HandEngine
-	pump := newFramePump(func(to int, wire []byte) { hands[to].Packet(wire) })
-	emit := r.emitters(pump)
-	for m := 0; m < 2; m++ {
-		m := m
-		h, err := layers.NewHandEngine(layer.DefaultConfig(benchView(2, m)), stack.Func)
-		if err != nil {
-			return err
-		}
-		h.Deliver = func(int, []byte, bool) { r.delivered++ }
-		h.SendWire = func(cast bool, dst int, wire []byte) {
-			to := dst
-			if cast {
-				to = 1 - m
-			}
-			emit[m](to, wire)
-		}
-		hands[m] = h
-	}
-	r.submit = func() { hands[0].Cast(r.payload) }
-	r.sweep = func(now int64) {
-		hands[0].Timer(now)
-		hands[1].Timer(now)
-	}
-	return nil
 }
 
 // Run drives n cast rounds, sweeping the housekeeping timers every 256
@@ -410,13 +181,13 @@ func (r *ThroughputRunner) initHand() error {
 // at the end, so every submitted round is delivered before Run returns.
 func (r *ThroughputRunner) Run(n int) {
 	for i := 0; i < n; i++ {
-		r.submit()
+		r.p.ep[0].Cast(r.payload)
 		r.rounds++
-		if r.batched() && r.rounds%r.flushEvery == 0 {
+		if r.batched() && r.rounds%flushEvery == 0 {
 			r.flush()
 		}
 		if r.rounds%256 == 0 {
-			r.sweep(int64(r.rounds) * int64(1e6))
+			r.p.sweep(int64(r.rounds) * int64(1e6))
 			if r.batched() {
 				r.flush()
 			}
@@ -429,11 +200,18 @@ func (r *ThroughputRunner) Run(n int) {
 
 // BatchStats reports the aggregate batching counters across both
 // members (zero when the runner is unbatched).
-func (r *ThroughputRunner) BatchStats() transport.BatcherStats { return r.batchStats() }
+func (r *ThroughputRunner) BatchStats() transport.BatcherStats {
+	if !r.batched() {
+		return transport.BatcherStats{}
+	}
+	st := r.batch[0].Stats()
+	st.Add(r.batch[1].Stats())
+	return st
+}
 
 // Delivered reports application deliveries observed so far (two per
 // round for stacks with self-delivery, one otherwise).
-func (r *ThroughputRunner) Delivered() int { return r.delivered }
+func (r *ThroughputRunner) Delivered() int { return r.p.delivered }
 
 // Metrics snapshots the observed runner's registry (empty when the
 // runner was built without observability).
@@ -474,38 +252,11 @@ type Throughput struct {
 }
 
 // MeasureThroughput runs `rounds` steady-state cast rounds of
-// `size`-byte messages and reports throughput plus allocation counters.
-// A warmup of 512 rounds runs first so pools and windows reach steady
-// state before the bracketed measurement.
-func MeasureThroughput(cfg Config, names []string, size, rounds int) (Throughput, error) {
-	return measureThroughput(cfg, names, size, rounds, Immediate)
-}
-
-// MeasureBatchedThroughput is MeasureThroughput with wire batching on
-// the measured path (see NewBatchedThroughputRunner).
-func MeasureBatchedThroughput(cfg Config, names []string, size, rounds int) (Throughput, error) {
-	return measureThroughput(cfg, names, size, rounds, Batched)
-}
-
-// MeasureBatchedDeltaThroughput is MeasureBatchedThroughput over the
-// delta frame format (0xB9, chaining off).
-func MeasureBatchedDeltaThroughput(cfg Config, names []string, size, rounds int) (Throughput, error) {
-	return measureThroughput(cfg, names, size, rounds, BatchedDelta)
-}
-
-// MeasureObservedThroughput is measureThroughput with the obs substrate
-// (registry + flight recorder) live on the emit path — the overhead
-// configuration Gate 4 compares against the unobserved figures.
-func MeasureObservedThroughput(cfg Config, names []string, size, rounds int, mode BatchMode) (Throughput, error) {
-	return measureThroughputObs(cfg, names, size, rounds, mode, true)
-}
-
-func measureThroughput(cfg Config, names []string, size, rounds int, mode BatchMode) (Throughput, error) {
-	return measureThroughputObs(cfg, names, size, rounds, mode, false)
-}
-
-func measureThroughputObs(cfg Config, names []string, size, rounds int, mode BatchMode, observed bool) (Throughput, error) {
-	r, err := newObservedThroughputRunner(cfg, names, size, mode, observed)
+// `size`-byte messages on a NewThroughputRunner and reports throughput
+// plus allocation counters. A warmup of 520 rounds runs first so pools
+// and windows reach steady state before the bracketed measurement.
+func MeasureThroughput(cfg Config, names []string, size, rounds int, mode BatchMode, observed bool) (Throughput, error) {
+	r, err := NewThroughputRunner(cfg, names, size, mode, observed)
 	if err != nil {
 		return Throughput{}, err
 	}
@@ -561,7 +312,7 @@ func ThroughputTable(rounds int) (string, error) {
 	out := "Sustained throughput, 4-byte casts (steady state):\n"
 	out += fmt.Sprintf("%-10s %-6s %12s %12s %14s\n", "stack", "cfg", "msgs/sec", "allocs/msg", "allocB/msg")
 	for _, rw := range rows {
-		tp, err := MeasureThroughput(rw.cfg, rw.names, 4, rounds)
+		tp, err := MeasureThroughput(rw.cfg, rw.names, 4, rounds, Immediate, false)
 		if err != nil {
 			return "", fmt.Errorf("%s/%s: %w", rw.label, rw.cfg, err)
 		}

@@ -45,10 +45,14 @@ type UDPThroughput struct {
 // bursts of `burst` wires per Run-goroutine entry — each burst leaves in
 // one datagram when batching is on. The run counts once the receiver's
 // frame walker has surfaced every wire (byte fidelity is the correctness
-// suite's job; this harness measures rate and wire cost).
+// suite's job; this harness measures rate and wire cost). BatchedCross
+// is rejected: its adaptive flush needs a clock the harness lacks.
 func MeasureUDPThroughput(msgs, size, burst int, mode BatchMode) (UDPThroughput, error) {
 	if msgs <= 0 || burst <= 0 {
 		return UDPThroughput{}, fmt.Errorf("bench: udp throughput needs msgs and burst >= 1")
+	}
+	if mode == BatchedCross {
+		return UDPThroughput{}, fmt.Errorf("bench: %s needs an adaptive-flush clock the udp harness lacks", mode)
 	}
 	if size < 1 {
 		size = 1

@@ -5,7 +5,11 @@ import "testing"
 // TestUDPThroughputSmoke runs the loopback harness small in every mode:
 // all wires arrive, the socket stays clean, and the batched modes put
 // fewer bytes per message on the wire than the immediate ablation.
+// BatchedCross, which needs an adaptive-flush clock, is refused.
 func TestUDPThroughputSmoke(t *testing.T) {
+	if _, err := MeasureUDPThroughput(200, 8, 8, BatchedCross); err == nil {
+		t.Fatal("BatchedCross accepted: the harness would run classic frames under the xframe label")
+	}
 	perMode := map[BatchMode]UDPThroughput{}
 	for _, mode := range []BatchMode{Immediate, Batched, BatchedDelta} {
 		res, err := MeasureUDPThroughput(200, 8, 8, mode)
