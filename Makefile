@@ -30,11 +30,16 @@ race:
 # repository benchmark under perfbench/ is a Go module of its own
 # (replace ensemble => ../), so the root `go build ./...` never compiles
 # it; it is vetted and tested here so a core/netsim API change cannot
-# break it unseen.
+# break it unseen. The pool-discipline pass runs the packages that own
+# pooled boxes and headers (layers, opt) plus the bypass kept-copy
+# regression under ENSEMBLE_POOLDEBUG=1, where misuse panics; the full
+# suite under it is `make pooldebug` (minutes, not seconds).
 verify:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/...
+	ENSEMBLE_POOLDEBUG=1 $(GO) test ./internal/layers ./internal/opt
+	ENSEMBLE_POOLDEBUG=1 $(GO) test -run TestOptimizedGroupKeepsBypassDeliveries ./internal/core
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) examples
 	$(MAKE) bench-gate

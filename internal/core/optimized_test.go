@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"ensemble/internal/event"
 	"ensemble/internal/layers"
 	"ensemble/internal/netsim"
+	"ensemble/internal/opt"
 	"ensemble/internal/stack"
 )
 
@@ -156,5 +158,50 @@ func TestOptimizedGroupSurvivesViewChange(t *testing.T) {
 	}
 	if st := g.Members[1].Engine().Stats(); st.UpBypass < 50 {
 		t.Fatalf("receiver's rebuilt up bypass unused: %+v", st)
+	}
+}
+
+// TestOptimizedGroupKeepsBypassDeliveries: a cast delivered through the
+// up bypass must be kept for the view-change flush exactly as the full
+// stack keeps it. The sequencer's casts reach ranks 2 and 3 through
+// their bypasses but never reach rank 1; then the sequencer crashes, and
+// only ranks 2 and 3 can repair rank 1's gap before the survivors'
+// view installs.
+func TestOptimizedGroupKeepsBypassDeliveries(t *testing.T) {
+	logs := make([][]string, 4)
+	g, err := NewOptimizedClusterGroup(4, netsim.Profile{Latency: 1000}, 5, layers.StackVsync(), stack.Func,
+		func(rank int) Handlers {
+			return Handlers{OnCast: func(origin int, payload []byte) {
+				logs[rank] = append(logs[rank], fmt.Sprintf("%d:%s", origin, payload))
+			}}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to := g.Members[0].Addr(), g.Members[1].Addr()
+	g.Cluster.Net().SetFilter(func(f, d event.Addr) bool { return f != from || d != to })
+	// The casts start after the group settles (its first casts take the
+	// full stack while the engines warm up).
+	for i := 0; i < 5; i++ {
+		i := i
+		g.Do(0, int64(100e6)+int64(i)*1e6, func() { g.Members[0].Cast([]byte(fmt.Sprintf("seq%d", i))) })
+	}
+	g.Run(int64(1e9))
+	for _, r := range []int{2, 3} {
+		if hits := g.Members[r].Engine().Stats().PathHits[opt.PathUpCast]; hits < 5 {
+			t.Fatalf("rank %d took the up cast bypass %d times before the crash, want >= 5", r, hits)
+		}
+	}
+	crash(g, 0)
+	g.Cluster.Net().SetFilter(nil)
+	g.Run(int64(30e9))
+	v1 := g.Members[1].View()
+	for r := 1; r < 4; r++ {
+		if v := g.Members[r].View(); v.N() != 3 || v.ID != v1.ID {
+			t.Fatalf("member %d view %v, want the survivors' 3-member view %v", r, v, v1)
+		}
+		if !reflect.DeepEqual(logs[r], logs[1]) {
+			t.Fatalf("survivors delivered different casts:\n rank 1: %v\n rank %d: %v", logs[1], r, logs[r])
+		}
 	}
 }

@@ -214,7 +214,12 @@ type EffectCtx struct {
 // EffectSpec binds a named effect to a live layer state.
 type EffectSpec struct {
 	Name string
-	Run  func(ctx EffectCtx)
+	// Run performs the effect. A nil Run binds the effect to nothing in
+	// this state: the bypass compiler leaves it out of the path.
+	Run func(ctx EffectCtx)
+	// Captures marks an effect that buffers the message: only for these
+	// does the bypass materialize EffectCtx.Hdrs.
+	Captures bool
 }
 
 // EffectModel is implemented by layer states with bypass effects.

@@ -146,7 +146,7 @@ func (h *HandEngine) Cast(payload []byte) {
 	}
 	m := savePayload(payload, true)
 	m.hdrs = append(m.hdrs, topHdr{}, p2pPass{})
-	h.mnak.sendBuf[seq] = m
+	h.mnak.kept[h.Rank].put(seq, m)
 }
 
 // Send transmits an application payload point-to-point through the hand
@@ -220,6 +220,8 @@ func (h *HandEngine) Packet(data []byte) {
 	}
 
 	if kind == handKindCast {
+		// Stack4 has no membership layer, so mnak keeps no other
+		// origin's casts and the bypass owes it no copy.
 		if h.bot.enabled && seq == h.mnak.recvNext[origin] && len(h.mnak.recvBuf[origin]) == 0 {
 			h.Stats.UpBypass++
 			h.mnak.recvNext[origin] = seq + 1

@@ -12,7 +12,9 @@ import (
 
 // ---- mnak ----
 
-// IRVars exposes the multicast reliability state.
+// IRVars exposes the multicast reliability state. kept_hi is read-only:
+// it lets the IR differential tests see a fast path that skips keeping a
+// copy.
 func (s *mnakState) IRVars() []ir.VarSpec {
 	return []ir.VarSpec{
 		scalar("my_seq",
@@ -20,24 +22,39 @@ func (s *mnakState) IRVars() []ir.VarSpec {
 			func(v int64) { s.mySeq = v }),
 		intsArray("recv_next", &s.recvNext),
 		arrayRO("recv_buf_len", func(i int64) int64 { return int64(len(s.recvBuf[i])) }),
+		arrayRO("kept_hi", func(i int64) int64 { return s.kept[i].hi() }),
 	}
 }
 
-// IREffects exposes the deferred buffering of sent casts: the bypass
-// sends first and buffers afterwards, taking the buffering overhead out
-// of the critical path (paper §4, optimization 3).
+// IREffects exposes the deferred keeping of casts: the bypass sends or
+// delivers first and keeps the copy afterwards, taking the buffering
+// overhead out of the critical path (paper §4, optimization 3).
+// keep_cast is bound to nothing when other origins' casts are not kept,
+// and the compiler then leaves it out of the up path.
 func (s *mnakState) IREffects() []ir.EffectSpec {
-	return []ir.EffectSpec{{
-		Name: "save_cast",
-		Run: func(ctx ir.EffectCtx) {
-			m := getSavedMsg()
-			m.payload = append(m.payload[:0], ctx.Payload...)
-			// ctx.Hdrs is transient scratch; the header values transfer.
-			m.hdrs = append(m.hdrs[:0], ctx.Hdrs...)
-			m.applMsg = ctx.ApplMsg
-			s.sendBuf[ctx.Args[0]] = m
+	keepCast := ir.EffectSpec{Name: "keep_cast", Captures: true}
+	if s.keepOthers {
+		keepCast.Run = func(ctx ir.EffectCtx) { s.keepEffect(int(ctx.Args[0]), ctx.Args[1], ctx) }
+	}
+	return []ir.EffectSpec{
+		{
+			// save_cast(seqno): keep our own cast.
+			Name: "save_cast", Captures: true,
+			Run: func(ctx ir.EffectCtx) { s.keepEffect(s.view.Rank, ctx.Args[0], ctx) },
 		},
-	}}
+		// keep_cast(origin, seqno): keep another origin's delivered cast.
+		keepCast,
+	}
+}
+
+// keepEffect puts a bypass-built copy into origin's kept ring.
+func (s *mnakState) keepEffect(origin int, seq int64, ctx ir.EffectCtx) {
+	m := getSavedMsg()
+	m.payload = append(m.payload[:0], ctx.Payload...)
+	// ctx.Hdrs is transient scratch; the header values transfer.
+	m.hdrs = append(m.hdrs[:0], ctx.Hdrs...)
+	m.applMsg = ctx.ApplMsg
+	s.kept[origin].put(seq, m)
 }
 
 func mnakDef() ir.LayerDef {
@@ -49,10 +66,11 @@ func mnakDef() ir.LayerDef {
 	upCast := []ir.Rule{
 		{
 			// The next expected cast with nothing buffered behind it:
-			// deliver and advance, no buffering, no NAK.
+			// deliver and advance, no NAK; the kept copy is deferred.
 			Guard: ir.And(tagIs(mnakTagData), ir.Eq(seqno, recvNext),
 				ir.Eq(ir.Index{Name: "recv_buf_len", Idx: peer}, ir.Const(0))),
 			Actions: []ir.Action{
+				ir.CallEffect{Name: "keep_cast", Args: []ir.Expr{peer, seqno}},
 				ir.Assign{Target: recvNext, Val: ir.Add(recvNext, ir.Const(1))},
 				ir.PopDeliver{},
 			},
@@ -163,7 +181,7 @@ func (s *pt2ptState) IREffects() []ir.EffectSpec {
 		{
 			// save_send(peer, seqno): buffer a sent message for
 			// retransmission, after the send itself.
-			Name: "save_send",
+			Name: "save_send", Captures: true,
 			Run: func(ctx ir.EffectCtx) {
 				p := &s.peers[ctx.Args[0]]
 				if p.unacked == nil {

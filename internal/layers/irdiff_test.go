@@ -9,6 +9,7 @@ import (
 	"ensemble/internal/event"
 	"ensemble/internal/ir"
 	"ensemble/internal/layer"
+	"ensemble/internal/stack"
 )
 
 // These tests validate each layer's IR against its executable handler —
@@ -118,6 +119,7 @@ func (h *diffHarness) feed(ev *event.Event) (ups, dns []*event.Event) {
 			h.t.Fatalf("%s %s: %v", h.def.Name, path, err)
 		}
 		frame.Hdr = fields
+		upperHdrs = copyHdrs(evB.Msg.Headers[:len(evB.Msg.Headers)-1])
 	} else {
 		upperHdrs = copyHdrs(ev.Msg.Headers)
 	}
@@ -141,13 +143,28 @@ func (h *diffHarness) feed(ev *event.Event) (ups, dns []*event.Event) {
 		h.dispatch(h.b, evB, &h.sinkB)
 	} else {
 		h.hits++
-		// Apply the IR's effects to B so buffers stay in sync.
+		// Apply the IR's effects to B so buffers stay in sync. An effect
+		// bound to nothing does no work; only a capturing effect takes
+		// the header snapshot.
+		captured := false
 		for _, ec := range out.Effects {
 			spec, ok := h.bindB.Effect(ec.Name)
 			if !ok {
 				h.t.Fatalf("%s: effect %q not bound", h.def.Name, ec.Name)
 			}
-			spec.Run(ir.EffectCtx{Args: ec.Args, Payload: evB.Msg.Payload, ApplMsg: evB.ApplMsg, Hdrs: upperHdrs})
+			if spec.Run == nil {
+				continue
+			}
+			ectx := ir.EffectCtx{Args: ec.Args, Payload: evB.Msg.Payload, ApplMsg: evB.ApplMsg}
+			if spec.Captures {
+				ectx.Hdrs, captured = upperHdrs, true
+			}
+			spec.Run(ectx)
+		}
+		if !captured {
+			for _, uh := range upperHdrs {
+				event.FreeHeader(uh)
+			}
 		}
 		event.Free(evB)
 		h.checkFastPath(path, out)
@@ -263,7 +280,8 @@ func TestIRDiffDownPaths(t *testing.T) {
 // TestIRDiffUpMnak drives mnak's receive path from a real sender through
 // a lossy, duplicating, reordering channel, routing NAKs back so that
 // retransmissions (fallback paths) are exercised alongside the fast
-// path.
+// path. The receiver keeps other origins' casts, as under a membership
+// layer, so a fast path that skips the kept copy diverges in kept_hi.
 func TestIRDiffUpMnak(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	senderCfg := layer.DefaultConfig(testView(2, 0))
@@ -271,6 +289,14 @@ func TestIRDiffUpMnak(t *testing.T) {
 	sb, _ := layer.Lookup(Mnak)
 	sender := sb(senderCfg)
 	h := newDiffHarness(t, Mnak, recvCfg)
+	mb, _ := layer.Lookup(Membership)
+	for _, st := range []layer.State{h.a, h.b} {
+		st.(stack.Linker).Link([]layer.State{mb(recvCfg), st})
+	}
+	var err error
+	if h.bindB, err = ir.Bind(Mnak, h.b); err != nil {
+		t.Fatal(err)
+	}
 
 	var inFlight []*event.Event
 	var senderSink collectorSink
@@ -320,6 +346,9 @@ func TestIRDiffUpMnak(t *testing.T) {
 	}
 	if h.misses == 0 {
 		t.Fatalf("mnak up: fallback paths never exercised")
+	}
+	if h.a.(*mnakState).kept[0].hi() == 0 {
+		t.Fatal("mnak up: the receiver kept no copy of the origin's casts")
 	}
 }
 

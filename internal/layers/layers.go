@@ -141,6 +141,10 @@ func getSavedMsg() *savedMsg {
 func saveMsg(ev *event.Event) *savedMsg {
 	m := getSavedMsg()
 	m.payload = append(m.payload[:0], ev.Msg.Payload...)
+	if cap(m.hdrs) < len(ev.Msg.Headers) {
+		// One exact allocation for a fresh box, not append's doubling.
+		m.hdrs = make([]event.Header, 0, len(ev.Msg.Headers))
+	}
 	m.hdrs = event.AppendClonedHeaders(m.hdrs[:0], ev.Msg.Headers)
 	m.applMsg = ev.ApplMsg
 	return m

@@ -6,6 +6,7 @@ import (
 
 	"ensemble/internal/event"
 	"ensemble/internal/layer"
+	"ensemble/internal/stack"
 )
 
 // Direct behavioural tests of individual layers, complementing the
@@ -217,16 +218,17 @@ func TestMnakStabilityGC(t *testing.T) {
 		_, dns := dn(sender, event.CastEv([]byte{byte(i)}))
 		freeAll(dns)
 	}
-	if len(sender.sendBuf) != 5 {
-		t.Fatalf("sendBuf %d, want 5", len(sender.sendBuf))
+	own := &sender.kept[0]
+	if own.n != 5 {
+		t.Fatalf("kept[rank] %d, want 5", own.n)
 	}
 	st := event.Alloc()
 	st.Dir, st.Type = event.Dn, event.EStable
 	st.Stability = []int64{3, 0}
 	_, dns := dn(sender, st)
 	freeAll(dns)
-	if len(sender.sendBuf) != 2 {
-		t.Fatalf("after stability 3, sendBuf has %d entries, want 2", len(sender.sendBuf))
+	if own.n != 2 {
+		t.Fatalf("after stability 3, kept[rank] has %d entries, want 2", own.n)
 	}
 	// A stale NAK for a stabilized message is skipped silently.
 	nak := event.Alloc()
@@ -235,6 +237,142 @@ func TestMnakStabilityGC(t *testing.T) {
 	_, dns = up(sender, nak)
 	if len(dns) != 0 {
 		t.Fatalf("stale NAK produced %d retransmissions", len(dns))
+	}
+}
+
+func keptBox(b byte) *savedMsg {
+	m := getSavedMsg()
+	m.payload = append(m.payload[:0], b)
+	return m
+}
+
+// TestKeptRing covers the kept ring's seqno arithmetic: growth by
+// doubling, wrap-around after a trim, duplicate and gap puts rejected,
+// and a trim past hi.
+func TestKeptRing(t *testing.T) {
+	var r keptRing
+	check := func(lo, hi int64) {
+		t.Helper()
+		if r.lo != lo || r.hi() != hi {
+			t.Fatalf("ring [%d,%d), want [%d,%d)", r.lo, r.hi(), lo, hi)
+		}
+		for q := lo; q < hi; q++ {
+			if m := r.get(q); m == nil || m.payload[0] != byte(q) {
+				t.Fatalf("get(%d) = %v", q, m)
+			}
+		}
+		if r.get(lo-1) != nil || r.get(hi) != nil {
+			t.Fatalf("get outside [%d,%d) returned a box", lo, hi)
+		}
+	}
+	for q := int64(0); q < 6; q++ {
+		if !r.put(q, keptBox(byte(q))) {
+			t.Fatalf("put(%d) rejected", q)
+		}
+	}
+	check(0, 6)
+	r.trim(4)
+	check(4, 6)
+	for q := int64(6); q < 12; q++ { // fills the 8-slot ring, wrapping
+		r.put(q, keptBox(byte(q)))
+	}
+	if len(r.buf) != 8 {
+		t.Fatalf("ring grew to %d before it was full", len(r.buf))
+	}
+	check(4, 12)
+	r.put(12, keptBox(12)) // full: doubles, re-laid out by seqno
+	if len(r.buf) != 16 {
+		t.Fatalf("ring size %d after growth, want 16", len(r.buf))
+	}
+	check(4, 13)
+	if r.put(5, keptBox(99)) || r.put(3, keptBox(99)) {
+		t.Fatal("duplicate or stable put accepted")
+	}
+	if r.put(14, keptBox(14)) {
+		t.Fatal("put past hi (a hole) accepted")
+	}
+	check(4, 13)
+	r.trim(30)
+	check(30, 30)
+	if r.put(13, keptBox(13)) || !r.put(30, keptBox(30)) {
+		t.Fatal("after a trim past hi, only the stable point is the next put")
+	}
+}
+
+// TestMnakNakAcrossWrap serves a NAK whose range wraps the ring's
+// backing array, clipped to what is still kept.
+func TestMnakNakAcrossWrap(t *testing.T) {
+	sender := mkState(t, Mnak, 2, 0).(*mnakState)
+	cast := func(k int) {
+		for i := 0; i < k; i++ {
+			_, dns := dn(sender, event.CastEv([]byte{byte(sender.mySeq)}))
+			freeAll(dns)
+		}
+	}
+	cast(6)
+	st := event.Alloc()
+	st.Dir, st.Type = event.Dn, event.EStable
+	st.Stability = []int64{5, 0}
+	_, dns := dn(sender, st)
+	freeAll(dns)
+	cast(6) // seqnos 5..11 now occupy slots 5,6,7,0,1,2,3
+	nak := event.Alloc()
+	nak.Dir, nak.Type, nak.Peer = event.Up, event.ESend, 1
+	nak.Msg.Push(mnakNak{Lo: 2, Hi: 10})
+	_, dns = up(sender, nak)
+	if len(dns) != 6 {
+		t.Fatalf("NAK [2,10] with [5,12) kept produced %d retransmissions, want 6", len(dns))
+	}
+	for i, d := range dns {
+		want := int64(5 + i)
+		if h, ok := d.Msg.Top().(mnakRetrans); !ok || h.Seqno != want || d.Msg.Payload[0] != byte(want) {
+			t.Fatalf("retransmission %d: %v payload %v, want seqno %d", i, d.Msg.Top(), d.Msg.Payload, want)
+		}
+	}
+	freeAll(dns)
+}
+
+// TestMnakKeepsOthersOnlyUnderFlush: another origin's delivered casts
+// are kept — and served to a flush NAK from any peer — only when the
+// stack has a membership layer.
+func TestMnakKeepsOthersOnlyUnderFlush(t *testing.T) {
+	for _, withFlush := range []bool{true, false} {
+		t.Run(fmt.Sprintf("membership=%v", withFlush), func(t *testing.T) {
+			origin := mkState(t, Mnak, 3, 0)
+			recv := mkState(t, Mnak, 3, 1)
+			if withFlush {
+				recv.(stack.Linker).Link([]layer.State{mkState(t, Membership, 3, 1), recv})
+			}
+			for i := 0; i < 3; i++ {
+				_, dns := dn(origin, event.CastEv([]byte{byte(i)}))
+				for _, d := range dns {
+					d.Dir, d.Peer = event.Up, 0
+					ups, naks := up(recv, d)
+					freeAll(ups)
+					freeAll(naks)
+				}
+			}
+			nak := event.Alloc()
+			nak.Dir, nak.Type, nak.Peer = event.Up, event.ESend, 2
+			nak.Msg.Push(mnakNak{Origin: 0, Lo: 0, Hi: 2})
+			_, dns := up(recv, nak)
+			defer freeAll(dns)
+			if !withFlush {
+				if len(dns) != 0 {
+					t.Fatalf("without a flush, a NAK for origin 0 produced %d retransmissions", len(dns))
+				}
+				return
+			}
+			if len(dns) != 3 {
+				t.Fatalf("flush NAK for origin 0 produced %d retransmissions, want 3", len(dns))
+			}
+			for i, d := range dns {
+				h, ok := d.Msg.Top().(mnakRetrans)
+				if !ok || h.Origin != 0 || h.Seqno != int64(i) || d.Peer != 2 || d.Msg.Payload[0] != byte(i) {
+					t.Fatalf("retransmission %d: %v to %d, want origin 0 seqno %d to 2", i, d.Msg.Top(), d.Peer, i)
+				}
+			}
+		})
 	}
 }
 

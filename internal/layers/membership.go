@@ -581,8 +581,9 @@ func (s *membershipState) recordVector(from int, vec []int64, snk layer.Sink) {
 	// would let some members deliver casts the rest never see (and, with
 	// an ordering layer on top, stall the laggards behind a sequence
 	// number that can no longer be filled). The frontier in the next
-	// flush round re-NAKs such gaps, and mnak's kept-receive buffers let
-	// any survivor serve them on the unreachable origin's behalf.
+	// flush round re-NAKs such gaps, and mnak's kept copies of other
+	// origins' casts let any survivor serve them on the unreachable
+	// origin's behalf.
 	var ref []int64
 	for r := 0; r < s.view.N(); r++ {
 		if s.excluded(r) {

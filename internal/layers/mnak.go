@@ -19,28 +19,98 @@ type mnakState struct {
 	// mySeq is the sequence number of the next cast this member sends.
 	mySeq int64
 
-	// sendBuf holds copies of this member's casts for retransmission,
-	// keyed by sequence number; garbage-collected on EStable.
-	sendBuf map[int64]*savedMsg
-
 	// recvNext[o] is the next expected sequence number from origin o.
 	recvNext []int64
 
 	// recvBuf[o] buffers out-of-order casts from origin o.
 	recvBuf []map[int64]*savedMsg
 
-	// recvKeep[o] holds copies of already-delivered casts from origin o
-	// until stability, so any member can serve a retransmission on the
-	// origin's behalf. Without it, virtual synchrony has a hole: a cast
-	// whose origin is then partitioned away may have reached some
-	// survivors but not others, and only the (now unreachable) origin
-	// could repair the difference — the view-change flush would either
-	// hang or install a view whose members delivered different casts.
-	recvKeep []map[int64]*savedMsg
+	// kept[o] holds copies of origin o's casts that are not yet stable,
+	// so this member can retransmit them: kept[rank] is our own sent
+	// casts, served to any member that NAKs a gap; another origin's
+	// ring holds the casts we delivered from it, served on its behalf
+	// during a view-change flush. Without those, virtual synchrony has a
+	// hole: a cast whose origin is then partitioned away may have
+	// reached some survivors but not others, and only the (now
+	// unreachable) origin could repair the difference — the flush would
+	// either hang or install a view whose members delivered different
+	// casts. For every kept origin, kept[o] is exactly
+	// [stable_o, recvNext_o) (our own: [stable, mySeq)).
+	kept []keptRing
+
+	// keepOthers is set when the stack has a view-change flush (a
+	// membership layer): only the flush NAKs a member for another
+	// origin's casts, so without one nothing could read those copies and
+	// they are not made.
+	keepOthers bool
 
 	// naked[o] is the highest sequence number already NAKed to origin o,
 	// to avoid duplicate NAKs for the same gap.
 	naked []int64
+}
+
+// keptRing holds one origin's kept casts, sequence numbers [lo, lo+n),
+// in a power-of-two ring indexed by sequence number. It grows by
+// doubling; trim releases the boxes that became stable by advancing lo.
+type keptRing struct {
+	buf []*savedMsg
+	lo  int64
+	n   int
+}
+
+// hi is one past the newest kept sequence number: the only one put
+// accepts.
+func (r *keptRing) hi() int64 { return r.lo + int64(r.n) }
+
+// put appends seq's box. Only seq == hi is taken: a lower seq is a
+// duplicate or already stable, a higher one would leave a hole. A
+// rejected box is released.
+func (r *keptRing) put(seq int64, m *savedMsg) bool {
+	if seq != r.hi() {
+		m.release()
+		return false
+	}
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.buf[seq&int64(len(r.buf)-1)] = m
+	r.n++
+	return true
+}
+
+func (r *keptRing) grow() {
+	size := 2 * len(r.buf)
+	if size == 0 {
+		size = 8
+	}
+	buf := make([]*savedMsg, size)
+	for q := r.lo; q < r.hi(); q++ {
+		buf[q&int64(size-1)] = r.buf[q&int64(len(r.buf)-1)]
+	}
+	r.buf = buf
+}
+
+// get returns seq's box, or nil when seq is not kept.
+func (r *keptRing) get(seq int64) *savedMsg {
+	if seq < r.lo || seq >= r.hi() {
+		return nil
+	}
+	return r.buf[seq&int64(len(r.buf)-1)]
+}
+
+// trim releases every box below stable. A stable point past hi empties
+// the ring and moves lo there, so later puts below it are rejected.
+func (r *keptRing) trim(stable int64) {
+	for r.n > 0 && r.lo < stable {
+		i := r.lo & int64(len(r.buf)-1)
+		r.buf[i].release()
+		r.buf[i] = nil
+		r.lo++
+		r.n--
+	}
+	if r.lo < stable {
+		r.lo = stable
+	}
 }
 
 // mnak header variants. mnakData rides every steady-state cast, so it
@@ -55,7 +125,7 @@ type (
 	// mnakNak requests retransmission of origin Origin's casts [Lo,Hi].
 	// Usually addressed to the origin itself; during a view-change flush
 	// it fans out to every member, any of which may hold kept copies of
-	// an unreachable origin's casts.
+	// an unreachable origin's casts (the only NAK for another origin).
 	mnakNak struct {
 		Origin int32
 		Lo, Hi int64
@@ -106,10 +176,9 @@ func init() {
 		n := cfg.View.N()
 		s := &mnakState{
 			view:     cfg.View,
-			sendBuf:  make(map[int64]*savedMsg),
 			recvNext: make([]int64, n),
 			recvBuf:  make([]map[int64]*savedMsg, n),
-			recvKeep: make([]map[int64]*savedMsg, n),
+			kept:     make([]keptRing, n),
 			naked:    make([]int64, n),
 		}
 		for i := range s.naked {
@@ -159,6 +228,21 @@ func init() {
 
 func (s *mnakState) Name() string { return Mnak }
 
+// Link turns on keeping other origins' casts when the stack has a
+// membership layer, whose flush is their only reader (see keepOthers).
+func (s *mnakState) Link(states []layer.State) {
+	for _, st := range states {
+		if _, ok := st.(*membershipState); ok {
+			s.keepOthers = true
+		}
+	}
+}
+
+// keeps reports whether origin's casts are kept.
+func (s *mnakState) keeps(origin int) bool {
+	return s.keepOthers || origin == s.view.Rank
+}
+
 func (s *mnakState) HandleDn(ev *event.Event, snk layer.Sink) {
 	switch ev.Type {
 	case event.ECast:
@@ -167,7 +251,7 @@ func (s *mnakState) HandleDn(ev *event.Event, snk layer.Sink) {
 		// Saved before the mnak header is pushed: a retransmission must
 		// reconstruct the message exactly as the layers above handed it
 		// to us, including their headers.
-		s.sendBuf[seq] = saveMsg(ev)
+		s.kept[s.view.Rank].put(seq, saveMsg(ev))
 		ev.Msg.Push(newMnakData(seq))
 		snk.PassDn(ev)
 	case event.ESend:
@@ -191,7 +275,7 @@ func (s *mnakState) HandleDn(ev *event.Event, snk layer.Sink) {
 		// no new traffic flows while the group is blocked. The NAK fans
 		// out to every member, not just the origin: the origin may be
 		// exactly the member being flushed out, and then only survivors'
-		// kept copies (recvKeep) can repair the gap.
+		// kept copies can repair the gap.
 		for o, have := range ev.Stability {
 			if o == s.view.Rank || o >= s.view.N() {
 				continue
@@ -210,27 +294,14 @@ func (s *mnakState) HandleDn(ev *event.Event, snk layer.Sink) {
 		}
 		event.Free(ev)
 	case event.EStable:
-		// Casts delivered everywhere can never be NAKed again: drop them
-		// from the retransmission buffer and the kept-receive buffers.
-		if me := s.view.Rank; me < len(ev.Stability) {
-			stable := ev.Stability[me]
-			for q, m := range s.sendBuf {
-				if q < stable {
-					delete(s.sendBuf, q)
-					m.release()
-				}
-			}
-		}
-		for o, keep := range s.recvKeep {
+		// Casts delivered everywhere can never be NAKed again: release
+		// them from the kept rings.
+		for o := range s.kept {
 			if o >= len(ev.Stability) {
 				break
 			}
-			stable := ev.Stability[o]
-			for q, m := range keep {
-				if q < stable {
-					delete(keep, q)
-					m.release()
-				}
+			if s.keeps(o) {
+				s.kept[o].trim(ev.Stability[o])
 			}
 		}
 		snk.PassDn(ev)
@@ -338,17 +409,14 @@ func (s *mnakState) drain(origin int, snk layer.Sink) {
 	}
 }
 
-// keep snapshots a cast being delivered into the kept-receive buffer, so
-// this member can later retransmit it on the origin's behalf (see
-// recvKeep). Called just before the delivery PassUp, while the event
-// still holds the upper layers' header stack.
+// keep snapshots a cast being delivered into origin's kept ring, so this
+// member can later retransmit it on the origin's behalf. Called just
+// before the delivery PassUp, while the event still holds the upper
+// layers' header stack.
 func (s *mnakState) keep(origin int, seq int64, ev *event.Event) {
-	if s.recvKeep[origin] == nil {
-		s.recvKeep[origin] = make(map[int64]*savedMsg)
-	} else if _, dup := s.recvKeep[origin][seq]; dup {
-		return
+	if r := &s.kept[origin]; s.keeps(origin) && seq == r.hi() {
+		r.put(seq, saveMsg(ev))
 	}
-	s.recvKeep[origin][seq] = saveMsg(ev)
 }
 
 // sendNak emits a point-to-point retransmission request for origin's
@@ -362,30 +430,25 @@ func (s *mnakState) sendNak(origin, target int, lo, hi int64, snk layer.Sink) {
 }
 
 // handleNak retransmits the requested range point-to-point to the
-// requester: our own casts from the send buffer, other origins' casts
-// from the kept-receive buffer. Sequence numbers already
-// garbage-collected by stability are silently skipped: stability proves
-// the requester cannot still need them (the NAK was stale).
+// requester from origin's kept ring: our own casts, or another origin's
+// during a flush. Sequence numbers already released by stability are
+// silently skipped: stability proves the requester cannot still need
+// them (the NAK was stale).
 func (s *mnakState) handleNak(requester int, h mnakNak, snk layer.Sink) {
 	origin := int(h.Origin)
 	if origin < 0 || origin >= s.view.N() {
 		return
 	}
-	buf := s.sendBuf
-	if origin != s.view.Rank {
-		buf = s.recvKeep[origin]
-	}
-	for q := h.Lo; q <= h.Hi; q++ {
-		m, ok := buf[q]
-		if !ok {
-			continue
-		}
+	r := &s.kept[origin]
+	lo, hi := max(h.Lo, r.lo), min(h.Hi, r.hi()-1)
+	for q := lo; q <= hi; q++ {
+		m := r.get(q)
 		rt := event.Alloc()
 		rt.Dir, rt.Type, rt.Peer = event.Dn, event.ESend, requester
 		rt.ApplMsg = m.applMsg
 		rt.Msg.Payload = m.payload
-		// Copy: the buffered entry may be retransmitted again and the
-		// headers appended below would otherwise share its backing array.
+		// Copy: the kept box may be retransmitted again and the headers
+		// appended below would otherwise share its backing array.
 		rt.Msg.Headers = copyHdrs(m.hdrs)
 		rt.Msg.Push(mnakRetrans{Origin: h.Origin, Seqno: q})
 		snk.PassDn(rt)

@@ -144,6 +144,34 @@ func (e *Engine) putScratch(s *scratch) {
 	e.scr = s
 }
 
+// armEffects evaluates the deferred effects' arguments and captured
+// headers in the read phase, into the frame's arenas: arena subslices
+// stay readable even if a later append regrows the arena, since the
+// values already written never move.
+func (s *scratch) armEffects(effects []compiledEffect, ctx *rtCtx, payload []byte) []pendingEffect {
+	pend := s.pend[:0]
+	for _, eff := range effects {
+		argStart := len(s.args)
+		for _, a := range eff.args {
+			s.args = append(s.args, a(ctx))
+		}
+		args := s.args[argStart:len(s.args):len(s.args)]
+		var hdrs []event.Header
+		if len(eff.hdrs) > 0 {
+			hdrStart := len(s.hdrs)
+			for i := range eff.hdrs {
+				s.hdrs = append(s.hdrs, eff.hdrs[i].materialize(ctx))
+			}
+			hdrs = s.hdrs[hdrStart:len(s.hdrs):len(s.hdrs)]
+		}
+		pend = append(pend, pendingEffect{run: eff.run, ectx: ir.EffectCtx{
+			Args: args, Payload: payload, ApplMsg: true, Hdrs: hdrs,
+		}})
+	}
+	s.pend = pend
+	return pend
+}
+
 // pendingEffect is a deferred effect invocation captured pre-write.
 type pendingEffect struct {
 	run  func(ir.EffectCtx)
@@ -397,13 +425,11 @@ func (e *Engine) compileTheorem(comp *compiler, th *StackTheorem) *compiledDnPat
 		}
 		cp.varying = append(cp.varying, ce)
 	}
-	for _, eff := range th.Effects {
-		ce, err := comp.compileEffect(eff, th.Headers)
-		if err != nil {
-			return nil
-		}
-		cp.effects = append(cp.effects, ce)
+	effects, err := comp.compileEffects(th)
+	if err != nil {
+		return nil
 	}
+	cp.effects = effects
 	if th.BounceFallback {
 		for _, h := range th.Headers {
 			if h.Layer == th.BounceLayer {
@@ -438,13 +464,11 @@ func (e *Engine) compileUp(comp *compiler, th *StackTheorem, sig WireSig) (*comp
 		}
 		cp.writes = append(cp.writes, w)
 	}
-	for _, eff := range th.Effects {
-		ce, err := comp.compileEffect(eff, th.Headers)
-		if err != nil {
-			return nil, err
-		}
-		cp.effects = append(cp.effects, ce)
+	effects, err := comp.compileEffects(th)
+	if err != nil {
+		return nil, err
 	}
+	cp.effects = effects
 	for _, h := range th.Headers {
 		ch, err := comp.compileHdr(h)
 		if err != nil {
@@ -648,26 +672,7 @@ func (e *Engine) runDn(cp *compiledDnPath, ctx *rtCtx, cast bool, dst int, paylo
 		s.hdrs = append(s.hdrs, cp.bounceHdrs[i].materialize(ctx))
 	}
 	bounceHdrVals := s.hdrs[:len(cp.bounceHdrs):len(cp.bounceHdrs)]
-	pend := s.pend[:0]
-	for _, eff := range cp.effects {
-		argStart := len(s.args)
-		for _, a := range eff.args {
-			s.args = append(s.args, a(ctx))
-		}
-		args := s.args[argStart:len(s.args):len(s.args)]
-		var hdrs []event.Header
-		if len(eff.hdrs) > 0 {
-			hdrStart := len(s.hdrs)
-			for i := range eff.hdrs {
-				s.hdrs = append(s.hdrs, eff.hdrs[i].materialize(ctx))
-			}
-			hdrs = s.hdrs[hdrStart:len(s.hdrs):len(s.hdrs)]
-		}
-		pend = append(pend, pendingEffect{run: eff.run, ectx: ir.EffectCtx{
-			Args: args, Payload: payload, ApplMsg: true, Hdrs: hdrs,
-		}})
-	}
-	s.pend = pend
+	pend := s.armEffects(cp.effects, ctx, payload)
 	// Write phase.
 	for i, w := range cp.writes {
 		w.apply(vals[i], ctx)
@@ -835,18 +840,7 @@ func (e *Engine) runUp(cp *compiledUpPath, ctx *rtCtx, sender int, payload []byt
 	for i, w := range cp.writes {
 		vals[i] = w.eval(ctx)
 	}
-	pend := s.pend[:0]
-	for _, eff := range cp.effects {
-		argStart := len(s.args)
-		for _, a := range eff.args {
-			s.args = append(s.args, a(ctx))
-		}
-		args := s.args[argStart:len(s.args):len(s.args)]
-		pend = append(pend, pendingEffect{run: eff.run, ectx: ir.EffectCtx{
-			Args: args, Payload: payload, ApplMsg: true,
-		}})
-	}
-	s.pend = pend
+	pend := s.armEffects(cp.effects, ctx, payload)
 	for i, w := range cp.writes {
 		w.apply(vals[i], ctx)
 	}

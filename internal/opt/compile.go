@@ -269,31 +269,44 @@ type compiledEffect struct {
 	hdrs []compiledHdr // the header stack above the effect's layer
 }
 
-func (c *compiler) compileEffect(e QEffect, headers []QHeader) (compiledEffect, error) {
-	b, ok := c.bindings[e.Layer]
-	if !ok {
-		return compiledEffect{}, fmt.Errorf("opt: no binding for layer %q", e.Layer)
-	}
-	spec, ok := b.Effect(e.Name)
-	if !ok {
-		return compiledEffect{}, fmt.Errorf("opt: layer %q has no effect %q", e.Layer, e.Name)
-	}
-	ce := compiledEffect{run: spec.Run}
-	for _, a := range e.Args {
-		x, err := c.compile(a)
-		if err != nil {
-			return compiledEffect{}, err
+// compileEffects compiles a theorem's deferred effects. An effect the
+// layer binds to nothing (nil Run) is left out: the path carries no work
+// for it.
+func (c *compiler) compileEffects(th *StackTheorem) ([]compiledEffect, error) {
+	var out []compiledEffect
+	for _, e := range th.Effects {
+		b, ok := c.bindings[e.Layer]
+		if !ok {
+			return nil, fmt.Errorf("opt: no binding for layer %q", e.Layer)
 		}
-		ce.args = append(ce.args, x)
-	}
-	// Captured headers: the layers above, in stack order (topmost
-	// first), exactly matching what the full stack would have buffered.
-	for _, h := range headers[:e.HdrsAbove] {
-		ch, err := c.compileHdr(h)
-		if err != nil {
-			return compiledEffect{}, err
+		spec, ok := b.Effect(e.Name)
+		if !ok {
+			return nil, fmt.Errorf("opt: layer %q has no effect %q", e.Layer, e.Name)
 		}
-		ce.hdrs = append(ce.hdrs, ch)
+		if spec.Run == nil {
+			continue
+		}
+		ce := compiledEffect{run: spec.Run}
+		for _, a := range e.Args {
+			x, err := c.compile(a)
+			if err != nil {
+				return nil, err
+			}
+			ce.args = append(ce.args, x)
+		}
+		if spec.Captures {
+			// Captured headers: the layers above, in stack order (topmost
+			// first), exactly matching what the full stack would have
+			// buffered.
+			for _, h := range th.Headers[:e.HdrsAbove] {
+				ch, err := c.compileHdr(h)
+				if err != nil {
+					return nil, err
+				}
+				ce.hdrs = append(ce.hdrs, ch)
+			}
+		}
+		out = append(out, ce)
 	}
-	return ce, nil
+	return out, nil
 }

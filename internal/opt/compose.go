@@ -487,9 +487,14 @@ func ComposeUp(names []string, path ir.PathKey, rank, n int, sig WireSig) (*Stac
 		return nil, fmt.Errorf("opt: signature has %d entries but the up path composed %d (consumed=%v)",
 			len(sig.Entries), processed, c.th.Consumed)
 	}
-	// Restore push order (top first) for the header list.
+	// Restore push order (top first) for the header list. Threading ran
+	// bottom-up, so each effect counted the headers below its layer:
+	// turn that into the count above it.
 	for l, r := 0, len(c.th.Headers)-1; l < r; l, r = l+1, r-1 {
 		c.th.Headers[l], c.th.Headers[r] = c.th.Headers[r], c.th.Headers[l]
+	}
+	for i := range c.th.Effects {
+		c.th.Effects[i].HdrsAbove = len(c.th.Headers) - 1 - c.th.Effects[i].HdrsAbove
 	}
 	return c.th, nil
 }

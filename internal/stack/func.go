@@ -1,6 +1,8 @@
 package stack
 
 import (
+	"slices"
+
 	"ensemble/internal/event"
 	"ensemble/internal/layer"
 )
@@ -35,6 +37,9 @@ type funcLayer struct {
 // reason FUNC trails IMP in Table 1.
 type collector struct {
 	ups, dns []*event.Event
+	// upsBuf and dnsBuf back ups and dns until a handler emits more than
+	// four events in one direction, so a collector is one allocation.
+	upsBuf, dnsBuf [4]*event.Event
 }
 
 func (c *collector) PassUp(ev *event.Event) { c.ups = append(c.ups, ev) }
@@ -133,6 +138,9 @@ type funcStack struct {
 
 func newFuncStack(states []layer.State, cb Callbacks) *funcStack {
 	s := &funcStack{states: states, cb: cb}
+	// One collector per layer: what a linear traversal uses. The arena
+	// doubles from there when a traversal fans out.
+	s.grow(len(states))
 	// Fold the layers top-first: ((L0 over L1) over L2) ...
 	var p proto = funcLayer{st: states[0], fs: s}
 	for _, st := range states[1:] {
@@ -142,12 +150,20 @@ func newFuncStack(states []layer.State, cb Callbacks) *funcStack {
 	return s
 }
 
+// grow adds n collectors to the arena in one allocation.
+func (s *funcStack) grow(n int) {
+	chunk := make([]collector, n)
+	s.arena = slices.Grow(s.arena, n)
+	for i := range chunk {
+		c := &chunk[i]
+		c.ups, c.dns = c.upsBuf[:0], c.dnsBuf[:0]
+		s.arena = append(s.arena, c)
+	}
+}
+
 func (s *funcStack) getCollector() *collector {
 	if s.used == len(s.arena) {
-		s.arena = append(s.arena, &collector{
-			ups: make([]*event.Event, 0, 4),
-			dns: make([]*event.Event, 0, 4),
-		})
+		s.grow(len(s.arena))
 	}
 	c := s.arena[s.used]
 	s.used++

@@ -73,7 +73,15 @@ func (c *Callbacks) net(ev *event.Event) {
 	event.Free(ev)
 }
 
-// BuildStates instantiates the named components, top first.
+// Linker is implemented by a layer state whose behaviour depends on
+// which other layers share its stack. BuildStates calls Link once, after
+// every state of the stack is built, with all of them (top first).
+type Linker interface {
+	Link(stack []layer.State)
+}
+
+// BuildStates instantiates the named components, top first, then lets
+// each Linker see its siblings.
 func BuildStates(names []string, cfg layer.Config) ([]layer.State, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("stack: empty layer list")
@@ -85,6 +93,11 @@ func BuildStates(names []string, cfg layer.Config) ([]layer.State, error) {
 			return nil, err
 		}
 		states[i] = b(cfg)
+	}
+	for _, st := range states {
+		if l, ok := st.(Linker); ok {
+			l.Link(states)
+		}
 	}
 	return states, nil
 }
