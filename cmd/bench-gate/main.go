@@ -271,7 +271,7 @@ func main() {
 	// Gate 5: the multi-CCP dispatch family halves the interpreted share
 	// on mixed traffic. Both sides run the identical seeded workload —
 	// only the engine's path family differs — so the ratio isolates what
-	// the control-path specialization and profile-guided probe order buy.
+	// the control-path specialization buys.
 	const singleName = "BenchmarkMixedTraffic_SingleCCP"
 	const multiName = "BenchmarkMixedTraffic_MultiCCP"
 	interpRatio := 0.0

@@ -2,15 +2,14 @@ package bench
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"time"
 
-	"ensemble/internal/core"
-	"ensemble/internal/event"
 	"ensemble/internal/layer"
 	"ensemble/internal/layers"
 	"ensemble/internal/netsim"
-	"ensemble/internal/stack"
 )
 
 // The member-count scaling harness: how far the sharded scheduler and
@@ -53,149 +52,80 @@ type ScaleResult struct {
 	Net       netsim.Stats
 }
 
-// scaleInterval spaces submission rounds like the net throughput
-// harness: 200 µs, so successive rounds overlap on the 80 µs link.
-const scaleInterval = int64(200_000)
-
-// scaleShards picks the scheduler shard count for a flat group: one
-// shard per 8 members, at least 2 once the group is big enough to
-// split.
-func scaleShards(members int) int {
-	s := members / 8
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
 // MeasureScale drives `rounds` all-cast rounds through a flat group of
 // `members` over simulated Ethernet — every member casts once per
 // round — and verifies every cast reached every member. The membership
 // layer picks its dissemination topology automatically (tree at >= 16).
 // workers <= 1 runs sequentially.
 func MeasureScale(members, rounds int, seed int64, workers int) (ScaleResult, error) {
-	delivered := make([]int, members)
-	g, err := core.NewClusterGroup(members, netsim.Ethernet100(), seed, ScaleStack(), stack.Func,
-		func(rank int) core.Handlers {
-			return core.Handlers{OnCast: func(origin int, payload []byte) { delivered[rank]++ }}
-		})
-	if err != nil {
-		return ScaleResult{}, err
-	}
-	g.Cluster.SetShards(scaleShards(members))
-	g.Cluster.EnableAdaptiveQuantum(400_000, 100_000_000)
-	buf := make([]byte, 32)
-	for i := 0; i < rounds; i++ {
-		at := int64(i) * scaleInterval
-		for r := 0; r < members; r++ {
-			r := r
-			g.Do(r, at, func() { g.Members[r].Cast(buf) })
-		}
-	}
-	deadline := int64(rounds)*scaleInterval + int64(2e9)
-	t0 := time.Now()
-	g.RunConcurrent(deadline, workers)
-	wall := time.Since(t0)
-
-	res := ScaleResult{
-		Members:    members,
-		Rounds:     rounds,
-		Wall:       wall,
-		MsgsPerSec: float64(members*rounds) / wall.Seconds(),
-		Net:        g.Cluster.Net().Stats(),
-	}
-	res.PerMember = res.MsgsPerSec / float64(members)
-	for _, d := range delivered {
-		res.Delivered += d
-	}
-	if want := members * members * rounds; res.Delivered < want {
-		return res, fmt.Errorf("bench: scale %d: %d deliveries, want %d", members, res.Delivered, want)
-	}
-	var perr error
-	res.Identical, perr = flatIdentityProbe(members, seed, workers)
-	if perr != nil {
-		return res, perr
-	}
-	return res, nil
+	return measureScale(scaleSpec(members, 0, 0, seed), rounds, int64(2e9), workers,
+		fmt.Sprintf("scale %d", members))
 }
 
 // MeasureHierScale is MeasureScale over a hierarchy: groups leaf groups
 // of per members bridged by a spine of relays (see core.HierGroup).
 // Every leaf member casts once per round and every cast must reach all
-// groups*per members through its relay path.
+// groups*per members through its relay path. The relay path adds two
+// stack traversals per cast, so the stability tail gets the flat
+// harness's headroom plus one extra second for the spine hop.
 func MeasureHierScale(groups, per, rounds int, seed int64, workers int) (ScaleResult, error) {
-	members := groups * per
-	delivered := make([]int, members)
-	hg, err := core.NewHierGroup(groups, per, netsim.Ethernet100(), seed, ScaleStack(), stack.Func,
-		func(global int) core.Handlers {
-			return core.Handlers{OnCast: func(origin int, payload []byte) { delivered[global]++ }}
-		})
-	if err != nil {
-		return ScaleResult{}, err
-	}
-	hg.Cluster.EnableAdaptiveQuantum(400_000, 100_000_000)
-	buf := make([]byte, 32)
-	for i := 0; i < rounds; i++ {
-		at := int64(i) * scaleInterval
-		for m := 0; m < members; m++ {
-			hg.Cast(m, at, buf)
-		}
-	}
-	// The relay path adds two stack traversals per cast; give the
-	// stability tail the same headroom as the flat harness plus one
-	// extra second for the spine hop.
-	deadline := int64(rounds)*scaleInterval + int64(3e9)
-	t0 := time.Now()
-	hg.RunConcurrent(deadline, workers)
-	wall := time.Since(t0)
-
-	res := ScaleResult{
-		Members:    members,
-		Groups:     groups,
-		Rounds:     rounds,
-		Wall:       wall,
-		MsgsPerSec: float64(members*rounds) / wall.Seconds(),
-		Net:        hg.Cluster.Net().Stats(),
-	}
-	res.PerMember = res.MsgsPerSec / float64(members)
-	for _, d := range delivered {
-		res.Delivered += d
-	}
-	if want := members * members * rounds; res.Delivered < want {
-		return res, fmt.Errorf("bench: hier scale %dx%d: %d deliveries, want %d", groups, per, res.Delivered, want)
-	}
-	var perr error
-	res.Identical, perr = hierIdentityProbe(groups, per, seed, workers)
-	if perr != nil {
-		return res, perr
-	}
-	return res, nil
+	return measureScale(scaleSpec(0, groups, per, seed), rounds, int64(3e9), workers,
+		fmt.Sprintf("hier scale %dx%d", groups, per))
 }
 
-// flatIdentityProbe replays a short traced workload at full member
-// count in both execution modes and compares the cluster's delivery
-// traces byte for byte — the determinism half of the scaling gate,
-// kept short so the probe does not dominate the measurement.
-func flatIdentityProbe(members int, seed int64, workers int) (bool, error) {
-	return traceIdentical(workers, func() (*netsim.Cluster, error) {
-		g, err := core.NewClusterGroup(members, netsim.Ethernet100(), seed+1, ScaleStack(), stack.Func, nil)
-		if err != nil {
-			return nil, err
+// scaleSpec is the sweep's group: ScaleStack under FUNC over simulated
+// Ethernet, flat (members, one scheduler shard per 8) or a groups×per
+// hierarchy, submitting at roundInterval.
+func scaleSpec(members, groups, per int, seed int64) groupSpec {
+	return groupSpec{
+		members: members, groups: groups, per: per, names: ScaleStack(), cfg: FUNC,
+		profile: netsim.Ethernet100(), seed: seed, shards: max(members/8, 1),
+		mode: BatchedCross, interval: roundInterval,
+	}
+}
+
+// measureScale runs spec's all-cast rounds under the adaptive quantum
+// for tail past the last round, then its determinism probe: a short
+// traced workload at the same member count (the next seed, at most 8
+// casters, 2 rounds), Run vs RunConcurrent byte for byte — kept short
+// so the probe does not dominate the measurement.
+func measureScale(spec groupSpec, rounds int, tail int64, workers int, name string) (ScaleResult, error) {
+	probe := spec
+	spec.quantum, spec.rounds, spec.submit = true, rounds, castFrom(32, math.MaxInt)
+	spec.until, spec.workers = int64(rounds)*roundInterval+tail, workers
+	spec.complete, spec.name = true, name
+	run, err := runGroup(spec)
+	if run == nil {
+		return ScaleResult{}, err
+	}
+	res := ScaleResult{
+		Members:    run.Members,
+		Groups:     spec.groups,
+		Rounds:     rounds,
+		Delivered:  run.Delivered,
+		Wall:       run.Wall,
+		MsgsPerSec: run.MsgsPerSec,
+		PerMember:  run.MsgsPerSec / float64(run.Members),
+		Net:        run.Net,
+	}
+	if err != nil {
+		return res, err
+	}
+	probe.seed++
+	probe.rounds, probe.submit, probe.until = 2, castFrom(16, 8), int64(200e6)
+	res.Identical, err = traceIdentical(probe, workers)
+	return res, err
+}
+
+// castFrom submits one cast per round from each of the first casters
+// ranks, every cast sharing one size-byte payload.
+func castFrom(size, casters int) func(run *groupRun, rank, round int, at int64) {
+	buf := make([]byte, size)
+	return func(run *groupRun, rank, _ int, at int64) {
+		if rank < casters {
+			run.cast(rank, at, buf)
 		}
-		g.Cluster.SetShards(scaleShards(members))
-		casters := members
-		if casters > 8 {
-			casters = 8
-		}
-		buf := make([]byte, 16)
-		for i := 0; i < 2; i++ {
-			for r := 0; r < casters; r++ {
-				r := r
-				g.Do(r, int64(i)*scaleInterval, func() { g.Members[r].Cast(buf) })
-			}
-		}
-		return g.Cluster, nil
-	})
+	}
 }
 
 // XFrameIdentityProbe is the wire-format determinism check behind Gate
@@ -207,64 +137,19 @@ func flatIdentityProbe(members int, seed int64, workers int) (bool, error) {
 // concurrency, so the probe covers exactly the stateful machinery that
 // could have cost determinism.
 func XFrameIdentityProbe(members int, seed int64, workers int) (bool, error) {
-	return traceIdentical(workers, func() (*netsim.Cluster, error) {
-		g, err := core.NewOptimizedClusterGroup(members, netsim.Ethernet100(), seed+1, layers.Stack10(), stack.Func, nil)
-		if err != nil {
-			return nil, err
-		}
-		g.Cluster.EnableAdaptiveQuantum(400_000, 100_000_000)
-		buf := make([]byte, 16)
-		for i := 0; i < 4; i++ {
-			at := int64(i) * scaleInterval
-			for r := 0; r < members; r++ {
-				r := r
-				g.Do(r, at, func() { g.Members[r].Cast(buf) })
-			}
+	cast := castFrom(16, members)
+	return traceIdentical(groupSpec{
+		members: members, names: layers.Stack10(), cfg: MACH, profile: netsim.Ethernet100(), seed: seed + 1,
+		mode: BatchedCross, quantum: true, rounds: 4, interval: roundInterval, until: int64(200e6),
+		submit: func(run *groupRun, r, i int, at int64) {
+			cast(run, r, i, at)
 			if i == 1 {
 				// Between rounds 1 and 2: every chain restarts from a
 				// full-header anchor in a new generation.
-				for r := 0; r < members; r++ {
-					r := r
-					g.Do(r, at+scaleInterval/2, func() { g.Members[r].Batcher().BumpGenerations() })
-				}
+				run.flat.Do(r, at+roundInterval/2, run.members[r].Batcher().BumpGenerations)
 			}
-		}
-		return g.Cluster, nil
-	})
-}
-
-// hierIdentityProbe is flatIdentityProbe over the hierarchy.
-func hierIdentityProbe(groups, per int, seed int64, workers int) (bool, error) {
-	return traceIdentical(workers, func() (*netsim.Cluster, error) {
-		hg, err := core.NewHierGroup(groups, per, netsim.Ethernet100(), seed+1, ScaleStack(), stack.Func, nil)
-		if err != nil {
-			return nil, err
-		}
-		buf := make([]byte, 16)
-		for i := 0; i < 2; i++ {
-			for r := 0; r < 8 && r < groups*per; r++ {
-				hg.Cast(r, int64(i)*scaleInterval, buf)
-			}
-		}
-		return hg.Cluster, nil
-	})
-}
-
-// traceIdentical builds the same workload twice, runs 200 ms of virtual
-// time traced — once sequentially, once on workers goroutines — and
-// reports whether the two delivery traces match byte for byte.
-func traceIdentical(workers int, build func() (*netsim.Cluster, error)) (bool, error) {
-	var traces [2]string
-	for i, w := range []int{1, workers} {
-		c, err := build()
-		if err != nil {
-			return false, err
-		}
-		c.EnableTrace()
-		c.RunConcurrent(c.Sim().Now()+int64(200e6), w)
-		traces[i] = c.TraceString()
-	}
-	return traces[0] != "" && traces[0] == traces[1], nil
+		},
+	}, workers)
 }
 
 // ViewChange is one measured view change: a graceful leave from a
@@ -290,55 +175,38 @@ type ViewChange struct {
 // protocol, 0 the auto topology (tree at >= 16 members).
 func MeasureViewChange(members, fanout int, seed int64) (ViewChange, error) {
 	installed := make([]int64, members) // virtual install time per rank; 0 = not yet
-	var g *core.ClusterGroup
-	g, err := core.NewTunedClusterGroup(members, netsim.Ethernet100(), seed, ScaleStack(), stack.Func,
-		func(rank int) core.Handlers {
-			return core.Handlers{OnView: func(v *event.View) {
-				if installed[rank] == 0 {
-					installed[rank] = g.Eps[rank].Now()
-				}
-			}}
-		},
-		func(c *layer.Config) { c.MembFanout = fanout })
+	spec := scaleSpec(members, 0, 0, seed)
+	spec.tune = func(c *layer.Config) { c.MembFanout = fanout }
+	spec.onView = func(rank int, now int64) {
+		if installed[rank] == 0 {
+			installed[rank] = now
+		}
+	}
+	run, err := buildGroup(spec)
 	if err != nil {
 		return ViewChange{}, err
 	}
-	g.Cluster.SetShards(scaleShards(members))
+	g := run.flat
 	g.Run(int64(1e9)) // settle the initial view
-	for r := range installed {
-		installed[r] = 0
-	}
+	clear(installed)
 	before := g.Cluster.Net().Stats()
 	t0 := g.Cluster.Sim().Now()
-	leaver := members - 1 // a tree leaf; the coordinator stays put
+	leaver := members - 1  // a tree leaf; the coordinator stays put
+	installed[leaver] = t0 // only the survivors' installs are awaited
 	g.Do(leaver, 0, func() { g.Members[leaver].Leave() })
-	done := func() bool {
-		for r := 0; r < members; r++ {
-			if r != leaver && installed[r] == 0 {
-				return false
-			}
-		}
-		return true
-	}
 	// Advance in 100 ms slices so the wire-cost window ends close to
 	// the last install; bound the whole change at 60 s virtual.
-	for i := 0; i < 600 && !done(); i++ {
+	for i := 0; i < 600 && slices.Contains(installed, 0); i++ {
 		g.Run(int64(100e6))
 	}
-	if !done() {
+	if slices.Contains(installed, 0) {
 		return ViewChange{}, fmt.Errorf("bench: view change at %d members (fanout %d) never completed", members, fanout)
 	}
 	after := g.Cluster.Net().Stats()
-	var last int64
-	for r := 0; r < members; r++ {
-		if r != leaver && installed[r] > last {
-			last = installed[r]
-		}
-	}
 	return ViewChange{
 		Members:        members,
 		Fanout:         fanout,
-		LatencyVirtual: last - t0,
+		LatencyVirtual: slices.Max(installed) - t0,
 		Packets:        after.Sent - before.Sent,
 		Bytes:          after.BytesOnWire - before.BytesOnWire,
 	}, nil
@@ -352,17 +220,14 @@ func ScaleTable(workers int) (string, error) {
 	fmt.Fprintf(&b, "Member-count scaling (FIFO vsync stack, 100Mb Ethernet, all-cast rounds)\n")
 	fmt.Fprintf(&b, "%-10s %-8s %-7s %12s %14s %10s %10s\n",
 		"members", "layout", "rounds", "msgs/sec", "per-member/s", "identical", "wall")
-	type point struct {
-		label  string
-		run    func(workers int) (ScaleResult, error)
-		rounds int
-	}
-	points := []point{
-		{"16 flat", func(w int) (ScaleResult, error) { return MeasureScale(16, 20, 31, w) }, 20},
-		{"64 flat", func(w int) (ScaleResult, error) { return MeasureScale(64, 8, 31, w) }, 8},
-		{"256 16x16", func(w int) (ScaleResult, error) { return MeasureHierScale(16, 16, 3, 31, w) }, 3},
-	}
-	for _, p := range points {
+	for _, p := range []struct {
+		label string
+		run   func(workers int) (ScaleResult, error)
+	}{
+		{"16 flat", func(w int) (ScaleResult, error) { return MeasureScale(16, 20, 31, w) }},
+		{"64 flat", func(w int) (ScaleResult, error) { return MeasureScale(64, 8, 31, w) }},
+		{"256 16x16", func(w int) (ScaleResult, error) { return MeasureHierScale(16, 16, 3, 31, w) }},
+	} {
 		for _, w := range []int{1, workers} {
 			label := "seq"
 			if w > 1 {

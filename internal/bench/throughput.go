@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ensemble/internal/event"
-	"ensemble/internal/layers"
 	"ensemble/internal/obs"
 	"ensemble/internal/perfcount"
 	"ensemble/internal/transport"
@@ -290,34 +289,4 @@ func MeasureThroughput(cfg Config, names []string, size, rounds int, mode BatchM
 		tp.BytesPerMsg = float64(bs.FrameBytes-baseBytes) / n
 	}
 	return tp, nil
-}
-
-// ThroughputTable renders the sustained-throughput comparison across
-// configurations and both evaluation stacks.
-func ThroughputTable(rounds int) (string, error) {
-	type row struct {
-		cfg   Config
-		names []string
-		label string
-	}
-	rows := []row{
-		{IMP, layers.Stack10(), "10-layer"},
-		{FUNC, layers.Stack10(), "10-layer"},
-		{MACH, layers.Stack10(), "10-layer"},
-		{IMP, layers.Stack4(), "4-layer"},
-		{FUNC, layers.Stack4(), "4-layer"},
-		{MACH, layers.Stack4(), "4-layer"},
-		{HAND, layers.Stack4(), "4-layer"},
-	}
-	out := "Sustained throughput, 4-byte casts (steady state):\n"
-	out += fmt.Sprintf("%-10s %-6s %12s %12s %14s\n", "stack", "cfg", "msgs/sec", "allocs/msg", "allocB/msg")
-	for _, rw := range rows {
-		tp, err := MeasureThroughput(rw.cfg, rw.names, 4, rounds, Immediate, false)
-		if err != nil {
-			return "", fmt.Errorf("%s/%s: %w", rw.label, rw.cfg, err)
-		}
-		out += fmt.Sprintf("%-10s %-6s %12.0f %12.3f %14.1f\n",
-			rw.label, rw.cfg, tp.MsgsPerSec, tp.AllocsPerMsg, tp.AllocBytesPerMsg)
-	}
-	return out, nil
 }

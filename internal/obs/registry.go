@@ -57,10 +57,10 @@ func (c *Counter) Load() int64 {
 // Window is a counter with a resettable reading window on top of its
 // lifetime total: Add feeds both, Total reads the lifetime value,
 // Window reads only what accumulated since the last ResetWindow. The
-// profile-guided dispatch reranker reads windows (it wants the previous
-// view's mix, not history since boot) while dashboards keep the
-// lifetime totals; both views cost the same single atomic add per
-// event. The zero value is ready; methods are nil-safe like Counter's.
+// per-view dispatch accounting reads windows (the current view's mix,
+// not history since boot) while dashboards keep the lifetime totals;
+// both views cost the same single atomic add per event. The zero value
+// is ready; methods are nil-safe like Counter's.
 type Window struct {
 	c    Counter
 	mark atomic.Int64

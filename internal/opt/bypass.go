@@ -33,9 +33,11 @@ type Engine struct {
 	dnCastPartial *compiledDnPath
 	upByID        map[uint16]*compiledUpPath
 
-	// castOrder is the profile-ranked probe order for down-going casts
-	// (see dispatch.go); ctrl are the sender-side control recognizers
-	// probed at the stack's net exit, hottest first.
+	// castOrder is the probe order for down-going casts: the full
+	// bypass, then the partial path whose predicate it implies (probed
+	// first, the weaker predicate would starve the full path); ctrl are
+	// the sender-side control recognizers probed at the stack's net
+	// exit.
 	castOrder []*compiledDnPath
 	ctrl      []*ctrlMatcher
 	// ctrlVary and ctrlWire are the recognizer's reusable buffers. The
@@ -195,7 +197,7 @@ type EngineStats struct {
 	// Hits[p] counts events routed to path p (PathFullStack hits are
 	// interpreter fallbacks), Misses[p] counts events that probed p's
 	// discriminator and failed. The engine lives for one view, so these
-	// are also the per-view window the reranker reads.
+	// are also the per-view window.
 	PathHits, PathMisses [NumPaths]int64
 }
 
@@ -240,8 +242,7 @@ type compiledUpPath struct {
 // fallback stack (in the given execution model) and every bypass the
 // optimizer can derive for this stack. Derivation failures are not
 // errors: paths without a bypass simply always use the stack. Options
-// select the path family (WithoutControlPaths) and feed back an
-// observed hit mix for profile-guided dispatch (WithDispatchRank).
+// select the path family (WithoutControlPaths).
 func NewEngine(names []string, cfg layer.Config, mode stack.Mode, opts ...EngineOpt) (*Engine, error) {
 	var ec engineConfig
 	for _, o := range opts {
@@ -279,12 +280,14 @@ func NewEngine(names []string, cfg layer.Config, mode stack.Mode, opts ...Engine
 	}
 	if e.dnCast != nil {
 		e.dnCast.pid = PathDnCast
+		e.castOrder = append(e.castOrder, e.dnCast)
 	}
 	if e.dnSend != nil {
 		e.dnSend.pid = PathDnSend
 	}
 	if e.dnCastPartial != nil {
 		e.dnCastPartial.pid = PathDnCastPartial
+		e.castOrder = append(e.castOrder, e.dnCastPartial)
 	}
 	bounceLayer := ""
 	if e.dnCast != nil && e.dnCast.th.BounceFallback {
@@ -378,7 +381,6 @@ func NewEngine(names []string, cfg layer.Config, mode stack.Mode, opts ...Engine
 			}
 		}
 	}
-	e.applyDispatchRank(&ec)
 	return e, nil
 }
 
@@ -521,10 +523,10 @@ func (e *Engine) netEvent(ev *event.Event) {
 	}
 	if ev.Type == event.ESend && len(e.ctrl) > 0 {
 		// Control recognition: match the exiting header stack against this
-		// member's control signatures (hottest first) and emit compressed
-		// on a hit. The probe entry's type assertion rejects data sends
-		// without allocating, so the data hot path pays one pointer
-		// comparison per recognizer. The stack still owns ev.
+		// member's control signatures, in derivation order, and emit
+		// compressed on a hit. The probe entry's type assertion rejects
+		// data sends without allocating, so the data hot path pays one
+		// pointer comparison per recognizer. The stack still owns ev.
 		for _, m := range e.ctrl {
 			vary, ok := m.match(ev.Msg.Headers, e.ctrlVary[:0])
 			e.ctrlVary = vary
@@ -584,8 +586,8 @@ func evalCCP(ccp []cexpr, ctx *rtCtx) bool {
 }
 
 // Cast multicasts an application payload: the compiled cast paths are
-// probed in profile rank order (full bypass and partial bypass by
-// default), the full stack takes whatever misses every discriminator.
+// probed in order (full bypass, then partial bypass), the full stack
+// takes whatever misses every discriminator.
 func (e *Engine) Cast(payload []byte) {
 	// The context lives in the pooled scratch frame: compiled expressions
 	// receive it through indirect calls, so a stack-local would escape

@@ -219,12 +219,11 @@ type Batcher struct {
 	// destination (one shared entry for the cast chain).
 	peers map[xKey]*peerState
 	// adaptive enables the per-destination flush controller: now is the
-	// owner's clock and aCfg its tuning (xframe.go). holdObs, when set,
+	// owner's clock (xframe.go holds its tuning). holdObs, when set,
 	// observes each emitted frame's queue residency (emit time minus
 	// creation time, ns) — the hold-duration histogram feed.
 	adaptive bool
 	now      func() int64
-	aCfg     AdaptiveFlushConfig
 	holdObs  func(int64)
 
 	frames []batchFrame

@@ -287,31 +287,22 @@ func (b *Batcher) HandleResync(from event.Addr, cast bool, gen uint64) {
 	b.stats.ResyncBumps++
 }
 
-// AdaptiveFlushConfig tunes the per-destination flush controller.
-type AdaptiveFlushConfig struct {
-	// MaxHoldNs bounds how long a frame may be held past its creation.
-	MaxHoldNs int64
-	// GapNs is the inter-append gap ceiling: a chain whose smoothed gap
-	// exceeds it is not expected to append again soon, so its frames are
-	// never held.
-	GapNs int64
-	// MinBytes is the size ceiling: a frame at or past it is worth a
-	// transmission on its own and is never held.
-	MinBytes int
-}
-
-// DefaultAdaptiveFlush returns the tuning core.Member uses: hold at most
-// 2ms, only for chains appending faster than ~500µs apart, and only
-// while the frame is under 600 bytes. The gap ceiling sits above the
-// steady cast cadences the workloads run (200µs rounds) — a chain
-// carrying back-to-back rounds is exactly the one worth holding through
-// a barrier so the next round's subs ride the same frame — and the hold
+// The per-destination flush controller's tuning: hold a frame at most
+// adaptiveMaxHoldNs (2ms) past its creation, only for chains appending
+// faster than adaptiveGapNs (~500µs) apart, and only while the frame is
+// under adaptiveMinBytes (600 bytes) — at or past it a frame is worth a
+// transmission on its own. The gap ceiling sits above the steady cast
+// cadences the workloads run (200µs rounds) — a chain carrying
+// back-to-back rounds is exactly the one worth holding through a
+// barrier so the next round's subs ride the same frame — and the hold
 // cap spans a couple of drain barriers even when the adaptive quantum
 // has widened past the submission interval. The layer sweep tick (50ms)
 // and the barrier cadence bound staleness even if traffic stops dead.
-func DefaultAdaptiveFlush() AdaptiveFlushConfig {
-	return AdaptiveFlushConfig{MaxHoldNs: 2_000_000, GapNs: 500_000, MinBytes: 600}
-}
+const (
+	adaptiveMaxHoldNs = 2_000_000
+	adaptiveGapNs     = 500_000
+	adaptiveMinBytes  = 600
+)
 
 // EnableAdaptiveFlush turns the controller on. now is the owner's clock
 // (virtual nanoseconds under netsim, monotonic under UDPNet) — holding
@@ -319,14 +310,13 @@ func DefaultAdaptiveFlush() AdaptiveFlushConfig {
 // runs stay deterministic. Only FlushEntryEnd and FlushBarrier causes
 // consult the controller; size-threshold and explicit flushes always
 // emit everything.
-func (b *Batcher) EnableAdaptiveFlush(now func() int64, cfg AdaptiveFlushConfig) {
+func (b *Batcher) EnableAdaptiveFlush(now func() int64) {
 	if now == nil {
 		panic("transport: EnableAdaptiveFlush needs a clock")
 	}
 	b.Flush()
 	b.adaptive = true
 	b.now = now
-	b.aCfg = cfg
 }
 
 // DisableAdaptiveFlush restores unconditional flushing — the ablation
@@ -363,14 +353,14 @@ func (b *Batcher) PendingSubs() int {
 // still small, still young, and headed to a chain whose observed append
 // cadence says more wires are imminent.
 func (b *Batcher) holdable(f *batchFrame, now int64) bool {
-	if f.st == nil || len(f.buf) >= b.aCfg.MinBytes {
+	if f.st == nil || len(f.buf) >= adaptiveMinBytes {
 		return false
 	}
-	if now-f.born >= b.aCfg.MaxHoldNs {
+	if now-f.born >= adaptiveMaxHoldNs {
 		return false
 	}
 	g := f.st.gapEWMA
-	return g >= 0 && g <= b.aCfg.GapNs
+	return g >= 0 && g <= adaptiveGapNs
 }
 
 // linkKey identifies one incoming chain at the receiver: the mirror of

@@ -436,7 +436,7 @@ func TestAdaptiveFlushHoldsAndAgesOut(t *testing.T) {
 	b := NewBatcher(sink, 1, 0)
 	b.EnableCrossFrame(2)
 	clk := &fakeClock{}
-	b.EnableAdaptiveFlush(clk.now, AdaptiveFlushConfig{MaxHoldNs: 250_000, GapNs: 120_000, MinBytes: 600})
+	b.EnableAdaptiveFlush(clk.now)
 
 	// Two appends 10µs apart establish a fast cadence for peer 2.
 	b.Send(2, cwire(prefix, 1, 1, 1))
@@ -454,8 +454,8 @@ func TestAdaptiveFlushHoldsAndAgesOut(t *testing.T) {
 	// More appends keep landing in the held frame.
 	clk.t += 10_000
 	b.Send(2, cwire(prefix, 1, 1, 3))
-	// Past MaxHold the frame ages out and the barrier emits it.
-	clk.t += 300_000
+	// Past the hold cap the frame ages out and the barrier emits it.
+	clk.t += adaptiveMaxHoldNs
 	if n := b.FlushFor(FlushBarrier); n != 1 {
 		t.Fatalf("aged frame must emit, got %d", n)
 	}
@@ -476,7 +476,7 @@ func TestAdaptiveFlushNeverHoldsSlowOrUnknownChains(t *testing.T) {
 	b := NewBatcher(sink, 1, 0)
 	b.EnableCrossFrame(2)
 	clk := &fakeClock{}
-	b.EnableAdaptiveFlush(clk.now, DefaultAdaptiveFlush())
+	b.EnableAdaptiveFlush(clk.now)
 
 	// First-ever append: cadence unknown, no hold.
 	b.Send(2, cwire(prefix, 1, 1, 1))
@@ -499,7 +499,7 @@ func TestAdaptiveFlushExplicitAndSizeForceEverything(t *testing.T) {
 	b := NewBatcher(sink, 1, 0)
 	b.EnableCrossFrame(2)
 	clk := &fakeClock{}
-	b.EnableAdaptiveFlush(clk.now, DefaultAdaptiveFlush())
+	b.EnableAdaptiveFlush(clk.now)
 	b.Send(2, cwire(prefix, 1, 1, 1))
 	clk.t += 1000
 	b.Send(2, cwire(prefix, 1, 1, 2))
@@ -523,7 +523,7 @@ func TestAdaptiveFlushHoldsOnlySuffix(t *testing.T) {
 	b := NewBatcher(sink, 1, 0)
 	b.EnableCrossFrame(2)
 	clk := &fakeClock{}
-	b.EnableAdaptiveFlush(clk.now, AdaptiveFlushConfig{MaxHoldNs: 250_000, GapNs: 120_000, MinBytes: 600})
+	b.EnableAdaptiveFlush(clk.now)
 	// Establish fast cadence for peer 3 only.
 	b.Send(3, cwire(prefix, 1, 1, 1))
 	clk.t += 1000
@@ -540,7 +540,7 @@ func TestAdaptiveFlushHoldsOnlySuffix(t *testing.T) {
 	if len(sink.calls) != base+1 || sink.calls[base].to != 2 {
 		t.Fatalf("emitted wrong frame: %+v", sink.calls)
 	}
-	clk.t += 300_000
+	clk.t += adaptiveMaxHoldNs
 	if n := b.FlushFor(FlushBarrier); n != 1 {
 		t.Fatalf("held frame must age out, got %d", n)
 	}
